@@ -66,6 +66,10 @@ class CanonicalCertificate:
     worst_partition: Optional[tuple[int, ...]]
     worst_value: ExtHalf
 
+    @classmethod
+    def from_sup(cls, gs: GlobalSup) -> "CanonicalCertificate":
+        return cls(gs.sup <= ExtHalf(-1), gs.worst_partition, gs.sup)
+
 
 def v_of_discriminant(d: int) -> ExtHalf:
     """The weight of a stratum with discriminant exponent d: exactly d/2."""
@@ -81,12 +85,7 @@ def certify_canonical_no_transposition(n: int, p: int) -> CanonicalCertificate:
     canonical singularities.  The inequality holds for every (n, p); a False
     here signals an implementation fault, not a mathematical outcome.
     """
-    gs = global_sup(n, p, transposition_free=True)
-    return CanonicalCertificate(
-        ok=gs.sup <= ExtHalf(-1),
-        worst_partition=gs.worst_partition,
-        worst_value=gs.sup,
-    )
+    return CanonicalCertificate.from_sup(global_sup(n, p, transposition_free=True))
 
 
 @dataclass(frozen=True)
@@ -253,8 +252,9 @@ def classify(group: PermutationGroup, p: int) -> ClassificationReport:
             )
         )
 
+    gs = global_sup(n, p, transposition_free=not has_t)
     if not has_t:
-        cert = certify_canonical_no_transposition(n, p)
+        cert = CanonicalCertificate.from_sup(gs)
         trace.append(
             TraceEntry(
                 ANCHOR_TF_STRATUM_BOUND,
@@ -308,7 +308,6 @@ def classify(group: PermutationGroup, p: int) -> ClassificationReport:
             CERTIFIED if (bound >= ExtHalf(0) and off_ok and level_ok) else NOT_CERTIFIED
         )
 
-    gs = global_sup(n, p, transposition_free=not has_t)
     stringy = ExtHalf(n) + gs.sup
     trace.append(
         TraceEntry(

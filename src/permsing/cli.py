@@ -32,6 +32,8 @@ from .strata import (
     stratum_dim_sum,
 )
 
+MAX_SUP_N = 100_000
+
 
 def _half(d: int) -> ExtHalf:
     return ExtHalf(Fraction(d, 2))
@@ -249,6 +251,9 @@ def _cmd_strata(args, out: TextIO) -> int:
 
 
 def _cmd_sup(args, out: TextIO) -> int:
+    if args.n > MAX_SUP_N:
+        # worst_partition has about n entries
+        raise ValueError(f"--n must be at most {MAX_SUP_N} for sup, got {args.n}")
     result = global_sup(args.n, args.p, transposition_free=args.no_transposition)
     if args.format == "json":
         _dump_json(

@@ -6,8 +6,9 @@ into connected pieces of degrees nu_i carrying discriminant exponents delta_i,
 with delta_i > 0 exactly for the non-trivial pieces.  The dimension of the
 connected piece is given by an exact five-case formula in (n, d, p), and all
 suprema of "dimension minus d/2" needed by the classifier have closed forms
-derived from it.  Everything here is exact half-integer arithmetic; numeric
-scans appear only in the test suite.
+derived from it.  Everything here is exact half-integer arithmetic.  The
+partition and exponent scans that check the closed forms live in tests/;
+enumerate_strata lists stratum shapes for the strata subcommand only.
 """
 
 from __future__ import annotations
@@ -287,6 +288,23 @@ class GlobalSup:
 def global_sup(n: int, p: int, transposition_free: bool) -> GlobalSup:
     """Maximize refined_stratum_sup over the non-trivial partitions of n.
 
+    The maximum is a closed form in (n, p), with no partition scan:
+
+    * generic: 0 for p = 2 and -1/2 otherwise, once n >= 2;
+    * transposition-free: -1 once n >= 2 (p = 2) or n >= 3 (p != 2); -oo for
+      p != 2 at n = 2, where the only partition (2) forces a transposition;
+    * n = 1: -oo, with no non-trivial partition.
+
+    worst_partition is the first maximiser in descending lexicographic order
+    (tests/helpers.scan_global_sup is the scan it is checked against):
+
+    * generic, p = 2: (2,...,2[,1]); p = 3 and n >= 3: (3,1,...);
+      otherwise (2,1,...);
+    * transposition-free, p = 2 and n >= 4: (4,2,...,2[,1]); p = 3:
+      (3,3,1,...) for n >= 6 and (3,2) at n = 5; otherwise (3,1,...) for
+      n >= 3 and (2) at n = 2;
+    * n = 1: None.
+
     limit_minus_infinity records whether dim - d/2 tends to -oo along the
     strata: true unless p = 2 and some partition of n has an even part (for
     p = 2 those parts contribute a constant, non-decaying value, and the
@@ -295,14 +313,21 @@ def global_sup(n: int, p: int, transposition_free: bool) -> GlobalSup:
     if n < 1:
         raise ValueError(f"degree must be positive, got {n}")
     validate_characteristic(p)
-    best = NEG_INF
-    worst: Optional[tuple[int, ...]] = None
-    for nu in partitions(n):
-        if all(v == 1 for v in nu):
-            continue
-        value = refined_stratum_sup(nu, p, transposition_free)
-        if worst is None or value > best:
-            best = value
-            worst = nu
     limit = p != 2 or n < 2
-    return GlobalSup(sup=best, limit_minus_infinity=limit, worst_partition=worst)
+    if n == 1:
+        return GlobalSup(sup=NEG_INF, limit_minus_infinity=limit, worst_partition=None)
+    if p == 2:
+        twos = (2,) * (n // 2) + (1,) * (n % 2)
+        if not transposition_free:
+            return GlobalSup(ExtHalf(0), limit, twos)
+        return GlobalSup(ExtHalf(-1), limit, (4,) + twos[2:] if n >= 4 else (n,))
+    if not transposition_free:
+        first = 3 if p == 3 and n >= 3 else 2
+        return GlobalSup(ExtHalf(Fraction(-1, 2)), limit, (first,) + (1,) * (n - first))
+    if p == 3 and n >= 6:
+        worst = (3, 3) + (1,) * (n - 6)
+    elif p == 3 and n == 5:
+        worst = (3, 2)
+    else:
+        worst = (min(n, 3),) + (1,) * (n - 3)
+    return GlobalSup(ExtHalf(-1) if n >= 3 else NEG_INF, limit, worst)

@@ -10,7 +10,15 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from permsing import Permutation, PermutationGroup
+from permsing import (
+    NEG_INF,
+    GlobalSup,
+    Permutation,
+    PermutationGroup,
+    partitions,
+    refined_stratum_sup,
+    sup_component,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +136,26 @@ def brute_force_strata(n: int, d: int) -> set[tuple[tuple[int, ...], tuple[int, 
                 canon.extend(sorted((delta[i] for i in idx), reverse=True))
             shapes.add((nu, tuple(canon)))
     return shapes
+
+
+# ---------------------------------------------------------------------------
+# reference global supremum: maximize the per-partition bound over every
+# non-trivial partition of n, keeping the first maximiser in descending
+# lexicographic order; the limit is -oo unless some part never decays
+
+def scan_global_sup(n: int, p: int, transposition_free: bool) -> GlobalSup:
+    best = NEG_INF
+    worst = None
+    for nu in partitions(n):
+        if all(v == 1 for v in nu):
+            continue
+        value = refined_stratum_sup(nu, p, transposition_free)
+        if worst is None or value > best:
+            best = value
+            worst = nu
+    # every v <= n is a part of some partition of n
+    limit = all(sup_component(v, p).eventually_decreasing for v in range(1, n + 1))
+    return GlobalSup(sup=best, limit_minus_infinity=limit, worst_partition=worst)
 
 
 # ---------------------------------------------------------------------------

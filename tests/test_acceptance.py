@@ -5,6 +5,7 @@ runtime budgets are enforced.  Run with `pytest tests/test_acceptance.py -v -s`
 to see the per-criterion lines.
 """
 
+import io
 import itertools
 import time
 from contextlib import contextmanager
@@ -28,6 +29,7 @@ from permsing import (
     tame_totally_ramified_count,
     verify_dimension_growth,
 )
+from permsing import cli
 from permsing.perm import PermutationGroup
 
 from helpers import (
@@ -187,3 +189,18 @@ def test_criterion_10_tame_dimension_zero():
     with criterion(10, "tame totally ramified counts equal n, independent of q", 30.0):
         for q, n in [(3, 2), (5, 2), (4, 3), (7, 3)]:
             assert tame_totally_ramified_count(q, n) == n
+
+
+def test_criterion_11_closed_form_suprema_at_large_degree():
+    with criterion(11, "sup at n = 200 and classify cyclic:3 at n = 60 return at once", 1.0):
+        argvs = [
+            ["sup", "--n", "200", "--p", str(p)] + flag
+            for p in CHARACTERISTICS
+            for flag in ([], ["--no-transposition"])
+        ]
+        argvs += [
+            ["classify", "--n", "60", "--p", str(p), "--group-name", "cyclic:3"]
+            for p in (0, 2, 3, 5)
+        ]
+        for argv in argvs:
+            assert cli.run(argv, out=io.StringIO(), err=io.StringIO()) == 0, argv

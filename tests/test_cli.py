@@ -146,6 +146,16 @@ def test_sup_text_and_json():
     assert data["limit_minus_infinity"] is False
 
 
+def test_sup_beyond_max_degree_exits_2(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("global_sup must not run for an out-of-range --n")
+
+    monkeypatch.setattr(cli, "global_sup", unreachable)
+    code, out, err = run_cli(["sup", "--n", "1000000000", "--p", "2"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "at most 100000" in err
+
+
 def test_table_csv_reparses_with_nonpositive_excess():
     code, out, _ = run_cli(["table", "--max-n", "4", "--max-d", "12", "--p", "2", "--csv"])
     assert code == 0

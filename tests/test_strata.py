@@ -19,7 +19,7 @@ from permsing import (
 )
 from permsing.halfint import ext_sum
 
-from helpers import brute_force_strata, five_case_dim
+from helpers import brute_force_strata, five_case_dim, scan_global_sup
 
 CHARACTERISTICS = (0, 2, 3, 5, 7)
 
@@ -274,6 +274,13 @@ def test_global_sup_limit_flag():
             for tf in (False, True):
                 r = global_sup(n, p, tf)
                 assert r.limit_minus_infinity == (p != 2 or n < 2)
+
+
+def test_global_sup_matches_partition_scan():
+    for p in CHARACTERISTICS:
+        for n in range(1, 26):
+            for tf in (False, True):
+                assert global_sup(n, p, tf) == scan_global_sup(n, p, tf), (n, p, tf)
 
 
 def test_partition_counts():
