@@ -40,12 +40,10 @@ from .perm import (
     branch_components,
     fixed_space_dimension,
     gorenstein_report,
-    group_closure,
     group_from_name,
     is_pseudo_reflection,
     parse_generators,
     parse_permutation,
-    transpositions,
 )
 from .strata import (
     ComponentSup,
@@ -99,7 +97,6 @@ __all__ = [
     "fixed_space_dimension",
     "global_sup",
     "gorenstein_report",
-    "group_closure",
     "group_from_name",
     "is_pseudo_reflection",
     "pair_status",
@@ -110,7 +107,6 @@ __all__ = [
     "stratum_dim_sum",
     "sup_component",
     "tame_totally_ramified_count",
-    "transpositions",
     "v_of_discriminant",
     "verify_dimension_growth",
 ]

@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: classify, dim, strata, sup, table, and the oracle group
-(as-count, verify, tame).  Output is deterministic; -oo renders as "-inf" in
-text/CSV and as null with a "finite" flag in JSON; half-integers render as
-reduced fractions, never floats.  Exit codes: 0 success, 2 invalid input,
-1 internal error.
+(as-count, verify, tame).  Each handler returns one `Record` of typed values
+(ExtHalf, tuples, bools, ints, None): the text lines, the JSON document and
+the CSV table.  `_render` alone writes the requested format, through the two
+value formatters `_text` and `_json`.  Output is deterministic: -oo renders
+as "-inf" in text/CSV and as null with a "finite" flag in JSON; half-integers
+render as reduced fractions, never floats.  The sizes that drive the work are
+capped.  Exit codes: 0 success, 2 invalid input, 1 internal error.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
-from typing import Optional, TextIO
+from itertools import chain
+from typing import Iterable, NamedTuple, Optional, Sequence, TextIO
 
 from .classify import classify
 from .halfint import ExtHalf
@@ -23,7 +26,7 @@ from .oracle import (
     tame_totally_ramified_count,
     verify_dimension_growth,
 )
-from .perm import CycleParseError, PermutationGroup, group_from_name
+from .perm import PermutationGroup, group_from_name
 from .strata import (
     dim_connected,
     enumerate_strata,
@@ -32,20 +35,203 @@ from .strata import (
     stratum_dim_sum,
 )
 
-MAX_SUP_N = 100_000
+MAX_SUP_N = 100_000  # worst_partition has about n entries
+MAX_DEGREE = 64  # classify --n: S8 at n = 64 already takes about 3 s
+MAX_STRATA_SIZE = 32  # strata --n + --d: the shape count grows exponentially
+MAX_TABLE_CELLS = 100_000  # table --max-n * (--max-d + 1)
 
 
-def _half(d: int) -> ExtHalf:
-    return ExtHalf(Fraction(d, 2))
+class Record(NamedTuple):
+    """One command's result in every format it offers.
+
+    `lines` is the text output; `doc` the JSON document; `columns` and `rows`
+    the CSV table, whose None cells render as `none`.  `lines` may be a lazy
+    iterable, so that only the requested format is formatted.
+    """
+
+    lines: Iterable[str]
+    doc: object = None
+    columns: Sequence[str] = ()
+    rows: Iterable[Sequence] = ()
+    none: str = "-"
 
 
-def _dump_json(obj, out: TextIO) -> None:
-    json.dump(obj, out, sort_keys=True, indent=2)
-    out.write("\n")
+def _text(value, none: str = "-") -> str:
+    """Text and CSV form of a typed value."""
+    if value is None:
+        return none
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, ExtHalf):
+        return value.as_text()
+    if isinstance(value, tuple):
+        return "(" + ",".join(map(str, value)) + ")"
+    return str(value)
 
 
-def _tuple_text(values) -> str:
-    return "(" + ",".join(map(str, values)) + ")"
+def _json(value):
+    """JSON form of a typed value: its as_json() if it has one, tuples as lists."""
+    if hasattr(value, "as_json"):
+        return value.as_json()
+    if isinstance(value, dict):
+        return {key: _json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json(item) for item in value]
+    return value
+
+
+def _render(record: Record, fmt: str, out: TextIO) -> None:
+    if fmt == "json":
+        json.dump(_json(record.doc), out, sort_keys=True, indent=2)
+        out.write("\n")
+    elif fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(record.columns)
+        writer.writerows([_text(v, record.none) for v in row] for row in record.rows)
+    else:
+        out.writelines(line + "\n" for line in record.lines)
+
+
+def _check_at_most(value: int, limit: int, what: str, command: str) -> None:
+    if value > limit:
+        raise ValueError(f"{what} must be at most {limit} for {command}, got {value}")
+
+
+def _cmd_classify(args) -> Record:
+    _check_at_most(args.n, MAX_DEGREE, "--n", "classify")
+    if args.group is not None:
+        group = PermutationGroup.from_text(args.group, args.n)
+    else:
+        group = group_from_name(args.group_name, args.n)
+    report = classify(group, args.p)
+    gor = report.gorenstein
+    keys = ("has_transposition", "canonical", "pair_klt", "pair_lc", "stringy_dim_bound")
+    lines = [
+        f"n = {report.n}, p = {report.p}, group order {report.group_order}",
+        *(f"{key} = {_text(getattr(report, key))}" for key in keys),
+        "gorenstein: "
+        f"kx_index_divides={gor.kx_index_divides} "
+        f"boundary_coefficient={_text(gor.boundary_coefficient, 'absent')} "
+        f"b_cartier_index_divides={_text(gor.b_cartier_index_divides, 'absent')} "
+        f"branch_components={gor.branch_component_count}",
+        f"nonfree_locus_dim_bound = {report.nonfree_locus_dim_bound}",
+        "trace:",
+        *(f"  [{entry.anchor}] {entry.detail}" for entry in report.trace),
+    ]
+    return Record(lines, report)
+
+
+def _cmd_dim(args) -> Record:
+    value = dim_connected(args.n, args.d, args.p)
+    return Record([_text(value)], {"n": args.n, "d": args.d, "p": args.p, "dim": value})
+
+
+def _cmd_strata(args) -> Record:
+    if args.no_transposition and args.p is None:
+        raise ValueError("--no-transposition requires --p")
+    _check_at_most(args.n + args.d, MAX_STRATA_SIZE, "--n + --d", "strata")
+    shapes = sorted(
+        enumerate_strata(args.n, args.d), key=lambda s: s.sort_key(), reverse=True
+    )
+    columns = ["nu", "delta"]
+    if args.p is not None:
+        columns += ["dim", "dim_minus_v"]
+    if args.no_transposition:
+        columns.append("partition_sup")
+    rows = []
+    for shape in shapes:
+        row: tuple = (shape.nu, shape.delta)
+        if args.p is not None:
+            dim = stratum_dim_sum(shape, args.p)
+            row += (dim, dim - ExtHalf.half(args.d))
+        if args.no_transposition:
+            trivial = all(v == 1 for v in shape.nu)
+            row += (None if trivial else refined_stratum_sup(shape.nu, args.p, True),)
+        rows.append(row)
+    labels = [{"dim_minus_v": "dim-v"}.get(c, c) for c in columns]
+    lines = (
+        (" ".join(f"{label}={_text(v)}" for label, v in zip(labels, row)) for row in rows)
+        if rows
+        else ["(no strata)"]
+    )
+    doc = {
+        "n": args.n,
+        "d": args.d,
+        "p": args.p,
+        "transposition_free": args.no_transposition,
+        "strata": [dict(zip(columns, row)) for row in rows],
+    }
+    return Record(lines, doc, columns, rows)
+
+
+def _cmd_sup(args) -> Record:
+    _check_at_most(args.n, MAX_SUP_N, "--n", "sup")
+    result = global_sup(args.n, args.p, transposition_free=args.no_transposition)
+    fields = {
+        "sup": result.sup,
+        "limit_minus_infinity": result.limit_minus_infinity,
+        "worst_partition": result.worst_partition or None,
+    }
+    lines = [f"{key} = {_text(value, 'none')}" for key, value in fields.items()]
+    doc = {"n": args.n, "p": args.p, "transposition_free": args.no_transposition, **fields}
+    return Record(lines, doc)
+
+
+def _cmd_table(args) -> Record:
+    # the loop over n runs even when the d range is empty
+    cells = max(args.max_n, 0) * max(args.max_d + 1, 1)
+    _check_at_most(cells, MAX_TABLE_CELLS, "--max-n * (--max-d + 1)", "table")
+    rows = []
+    for n in range(1, args.max_n + 1):
+        for d in range(0, args.max_d + 1):
+            dim = dim_connected(n, d, args.p)
+            rows.append((n, d, dim, dim - ExtHalf.half(d)))
+    lines = chain(
+        [f"{'n':>3} {'d':>3} {'dim':>6} {'dim-v':>7}"],
+        (f"{n:>3} {d:>3} {_text(dim):>6} {_text(excess):>7}" for n, d, dim, excess in rows),
+    )
+    return Record(lines, None, ("n", "d", "dim", "dim_minus_v"), rows)
+
+
+def _cmd_oracle_as_count(args) -> Record:
+    count = as_class_count(args.p, args.q, args.jump)
+    columns, row = ("p", "q", "jump", "count"), (args.p, args.q, args.jump, count)
+    return Record([str(count)], dict(zip(columns, row)), columns, [row])
+
+
+def _cmd_oracle_verify(args) -> Record:
+    try:
+        qs = [int(tok) for tok in args.q.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(f"--q must be a comma-separated list of integers: {args.q!r}")
+    if not qs:
+        raise ValueError("--q must name at least one prime power")
+    check = verify_dimension_growth(args.p, args.n, args.d, qs)
+    rows = [
+        (q, count, m, check.predicted, check.ok)
+        for q, count, m in zip(qs, check.counts, check.measured_exponents)
+    ]
+    lines = [
+        f"predicted = {_text(check.predicted)}",
+        *(f"q={q}: count={count} measured={_text(m, '?')}" for q, count, m, _, _ in rows),
+        f"ok = {_text(check.ok)}",
+    ]
+    doc = {
+        "p": args.p,
+        "n": args.n,
+        "d": args.d,
+        "qs": qs,
+        "predicted": check.predicted,
+        "counts": check.counts,
+        "measured": check.measured_exponents,
+        "ok": check.ok,
+    }
+    return Record(lines, doc, ("q", "count", "measured", "predicted", "ok"), rows, "?")
+
+
+def _cmd_oracle_tame(args) -> Record:
+    count = tame_totally_ramified_count(args.q, args.n)
+    return Record([str(count)], {"q": args.q, "n": args.n, "count": count})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,6 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_classify = sub.add_parser("classify", help="certify a quotient singularity")
+    p_classify.set_defaults(handler=_cmd_classify)
     p_classify.add_argument("--n", type=int, required=True, help="ambient degree")
     p_classify.add_argument("--p", type=int, required=True, help="characteristic (0 or prime)")
     grp = p_classify.add_mutually_exclusive_group(required=True)
@@ -67,12 +254,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--format", choices=["text", "json"], default="json")
 
     p_dim = sub.add_parser("dim", help="dimension of the connected-cover locus")
+    p_dim.set_defaults(handler=_cmd_dim)
     p_dim.add_argument("--n", type=int, required=True)
     p_dim.add_argument("--d", type=int, required=True)
     p_dim.add_argument("--p", type=int, required=True)
     p_dim.add_argument("--format", choices=["text", "json"], default="text")
 
     p_strata = sub.add_parser("strata", help="enumerate stratum shapes (nu, delta)")
+    p_strata.set_defaults(handler=_cmd_strata)
     p_strata.add_argument("--n", type=int, required=True)
     p_strata.add_argument("--d", type=int, required=True)
     p_strata.add_argument("--p", type=int, default=None)
@@ -84,21 +273,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p_strata.add_argument("--format", choices=["text", "json", "csv"], default="text")
 
     p_sup = sub.add_parser("sup", help="supremum of dim - d/2 over non-trivial strata")
+    p_sup.set_defaults(handler=_cmd_sup)
     p_sup.add_argument("--n", type=int, required=True)
     p_sup.add_argument("--p", type=int, required=True)
     p_sup.add_argument("--no-transposition", action="store_true")
     p_sup.add_argument("--format", choices=["text", "json"], default="text")
 
     p_table = sub.add_parser("table", help="dimension table over a range of (n, d)")
+    p_table.set_defaults(handler=_cmd_table)
     p_table.add_argument("--max-n", type=int, required=True)
     p_table.add_argument("--max-d", type=int, required=True)
     p_table.add_argument("--p", type=int, required=True)
-    p_table.add_argument("--csv", action="store_true")
+    p_table.add_argument(
+        "--csv", action="store_const", dest="format", const="csv", default="text"
+    )
 
     p_oracle = sub.add_parser("oracle", help="brute-force finite-field oracles")
     oracle_sub = p_oracle.add_subparsers(dest="oracle_command", required=True)
 
     p_count = oracle_sub.add_parser("as-count", help="Artin-Schreier class count")
+    p_count.set_defaults(handler=_cmd_oracle_as_count)
     p_count.add_argument("--p", type=int, required=True)
     p_count.add_argument("--q", type=int, required=True)
     p_count.add_argument("--jump", type=int, required=True)
@@ -107,6 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = oracle_sub.add_parser(
         "verify", help="compare class counts against the predicted dimension"
     )
+    p_verify.set_defaults(handler=_cmd_oracle_verify)
     p_verify.add_argument("--p", type=int, required=True)
     p_verify.add_argument("--n", type=int, required=True)
     p_verify.add_argument("--d", type=int, required=True)
@@ -114,6 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=["text", "json", "csv"], default="text")
 
     p_tame = oracle_sub.add_parser("tame", help="tame totally ramified extension count")
+    p_tame.set_defaults(handler=_cmd_oracle_tame)
     p_tame.add_argument("--q", type=int, required=True)
     p_tame.add_argument("--n", type=int, required=True)
     p_tame.add_argument("--format", choices=["text", "json"], default="text")
@@ -121,282 +317,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_classify(args, out: TextIO) -> int:
-    if args.group is not None:
-        group = PermutationGroup.from_text(args.group, args.n)
-    else:
-        group = group_from_name(args.group_name, args.n)
-    report = classify(group, args.p)
-    if args.format == "json":
-        _dump_json(report.as_json(), out)
-        return 0
-    gor = report.gorenstein
-    coeff = gor.boundary_coefficient
-    out.write(f"n = {report.n}, p = {report.p}, group order {report.group_order}\n")
-    out.write(f"has_transposition = {str(report.has_transposition).lower()}\n")
-    out.write(f"canonical = {report.canonical}\n")
-    out.write(f"pair_klt = {report.pair_klt}\n")
-    out.write(f"pair_lc = {report.pair_lc}\n")
-    out.write(f"stringy_dim_bound = {report.stringy_dim_bound.as_text()}\n")
-    out.write(
-        "gorenstein: "
-        f"kx_index_divides={gor.kx_index_divides} "
-        f"boundary_coefficient={coeff if coeff is not None else 'absent'} "
-        f"b_cartier_index_divides={gor.b_cartier_index_divides if gor.b_cartier_index_divides is not None else 'absent'} "
-        f"branch_components={gor.branch_component_count}\n"
-    )
-    out.write(f"nonfree_locus_dim_bound = {report.nonfree_locus_dim_bound}\n")
-    out.write("trace:\n")
-    for entry in report.trace:
-        out.write(f"  [{entry.anchor}] {entry.detail}\n")
-    return 0
-
-
-def _cmd_dim(args, out: TextIO) -> int:
-    value = dim_connected(args.n, args.d, args.p)
-    if args.format == "json":
-        _dump_json(
-            {"n": args.n, "d": args.d, "p": args.p, "dim": value.as_json()}, out
-        )
-    else:
-        out.write(value.as_text() + "\n")
-    return 0
-
-
-def _strata_rows(args) -> list[dict]:
-    shapes = sorted(
-        enumerate_strata(args.n, args.d), key=lambda s: s.sort_key(), reverse=True
-    )
-    rows = []
-    for shape in shapes:
-        row: dict = {"nu": shape.nu, "delta": shape.delta}
-        if args.p is not None:
-            dim = stratum_dim_sum(shape, args.p)
-            row["dim"] = dim
-            row["dim_minus_v"] = dim - _half(args.d)
-        if args.no_transposition:
-            if all(v == 1 for v in shape.nu):
-                row["partition_sup"] = None
-            else:
-                row["partition_sup"] = refined_stratum_sup(shape.nu, args.p, True)
-        rows.append(row)
-    return rows
-
-
-def _cmd_strata(args, out: TextIO) -> int:
-    if args.no_transposition and args.p is None:
-        raise ValueError("--no-transposition requires --p")
-    rows = _strata_rows(args)
-    if args.format == "json":
-        payload = {
-            "n": args.n,
-            "d": args.d,
-            "p": args.p,
-            "transposition_free": args.no_transposition,
-            "strata": [
-                {
-                    "nu": list(r["nu"]),
-                    "delta": list(r["delta"]),
-                    **(
-                        {
-                            "dim": r["dim"].as_json(),
-                            "dim_minus_v": r["dim_minus_v"].as_json(),
-                        }
-                        if "dim" in r
-                        else {}
-                    ),
-                    **(
-                        {
-                            "partition_sup": r["partition_sup"].as_json()
-                            if r["partition_sup"] is not None
-                            else None
-                        }
-                        if "partition_sup" in r
-                        else {}
-                    ),
-                }
-                for r in rows
-            ],
-        }
-        _dump_json(payload, out)
-        return 0
-    header = ["nu", "delta"]
-    if args.p is not None:
-        header += ["dim", "dim_minus_v"]
-    if args.no_transposition:
-        header.append("partition_sup")
-    if args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        for r in rows:
-            cells = [_tuple_text(r["nu"]), _tuple_text(r["delta"])]
-            if "dim" in r:
-                cells += [r["dim"].as_text(), r["dim_minus_v"].as_text()]
-            if "partition_sup" in r:
-                sup = r["partition_sup"]
-                cells.append(sup.as_text() if sup is not None else "-")
-            writer.writerow(cells)
-        return 0
-    for r in rows:
-        line = f"nu={_tuple_text(r['nu'])} delta={_tuple_text(r['delta'])}"
-        if "dim" in r:
-            line += f" dim={r['dim'].as_text()} dim-v={r['dim_minus_v'].as_text()}"
-        if "partition_sup" in r:
-            sup = r["partition_sup"]
-            line += f" partition_sup={sup.as_text() if sup is not None else '-'}"
-        out.write(line + "\n")
-    if not rows:
-        out.write("(no strata)\n")
-    return 0
-
-
-def _cmd_sup(args, out: TextIO) -> int:
-    if args.n > MAX_SUP_N:
-        # worst_partition has about n entries
-        raise ValueError(f"--n must be at most {MAX_SUP_N} for sup, got {args.n}")
-    result = global_sup(args.n, args.p, transposition_free=args.no_transposition)
-    if args.format == "json":
-        _dump_json(
-            {
-                "n": args.n,
-                "p": args.p,
-                "transposition_free": args.no_transposition,
-                "sup": result.sup.as_json(),
-                "limit_minus_infinity": result.limit_minus_infinity,
-                "worst_partition": list(result.worst_partition)
-                if result.worst_partition
-                else None,
-            },
-            out,
-        )
-        return 0
-    out.write(f"sup = {result.sup.as_text()}\n")
-    out.write(f"limit_minus_infinity = {str(result.limit_minus_infinity).lower()}\n")
-    worst = (
-        _tuple_text(result.worst_partition) if result.worst_partition else "none"
-    )
-    out.write(f"worst_partition = {worst}\n")
-    return 0
-
-
-def _cmd_table(args, out: TextIO) -> int:
-    rows = []
-    for n in range(1, args.max_n + 1):
-        for d in range(0, args.max_d + 1):
-            dim = dim_connected(n, d, args.p)
-            rows.append((n, d, dim, dim - _half(d)))
-    if args.csv:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["n", "d", "dim", "dim_minus_v"])
-        for n, d, dim, excess in rows:
-            writer.writerow([n, d, dim.as_text(), excess.as_text()])
-    else:
-        out.write(f"{'n':>3} {'d':>3} {'dim':>6} {'dim-v':>7}\n")
-        for n, d, dim, excess in rows:
-            out.write(f"{n:>3} {d:>3} {dim.as_text():>6} {excess.as_text():>7}\n")
-    return 0
-
-
-def _cmd_oracle_as_count(args, out: TextIO) -> int:
-    count = as_class_count(args.p, args.q, args.jump)
-    if args.format == "json":
-        _dump_json({"p": args.p, "q": args.q, "jump": args.jump, "count": count}, out)
-    elif args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["p", "q", "jump", "count"])
-        writer.writerow([args.p, args.q, args.jump, count])
-    else:
-        out.write(f"{count}\n")
-    return 0
-
-
-def _cmd_oracle_verify(args, out: TextIO) -> int:
-    try:
-        qs = [int(tok) for tok in args.q.split(",") if tok.strip()]
-    except ValueError:
-        raise ValueError(f"--q must be a comma-separated list of integers: {args.q!r}")
-    if not qs:
-        raise ValueError("--q must name at least one prime power")
-    check = verify_dimension_growth(args.p, args.n, args.d, qs)
-    if args.format == "json":
-        _dump_json(
-            {
-                "p": args.p,
-                "n": args.n,
-                "d": args.d,
-                "qs": qs,
-                "predicted": check.predicted.as_json(),
-                "counts": list(check.counts),
-                "measured": [
-                    m.as_json() if m is not None else None
-                    for m in check.measured_exponents
-                ],
-                "ok": check.ok,
-            },
-            out,
-        )
-        return 0
-    if args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["q", "count", "measured", "predicted", "ok"])
-        for q, count, m in zip(qs, check.counts, check.measured_exponents):
-            measured = m.as_text() if m is not None else "?"
-            writer.writerow(
-                [q, count, measured, check.predicted.as_text(), str(check.ok).lower()]
-            )
-        return 0
-    out.write(f"predicted = {check.predicted.as_text()}\n")
-    for q, count, m in zip(qs, check.counts, check.measured_exponents):
-        measured = m.as_text() if m is not None else "?"
-        out.write(f"q={q}: count={count} measured={measured}\n")
-    out.write(f"ok = {str(check.ok).lower()}\n")
-    return 0
-
-
-def _cmd_oracle_tame(args, out: TextIO) -> int:
-    count = tame_totally_ramified_count(args.q, args.n)
-    if args.format == "json":
-        _dump_json({"q": args.q, "n": args.n, "count": count}, out)
-    else:
-        out.write(f"{count}\n")
-    return 0
-
-
 def run(argv: list[str], out: Optional[TextIO] = None, err: Optional[TextIO] = None) -> int:
     """Execute one CLI invocation; returns the exit code."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "classify":
-            return _cmd_classify(args, out)
-        if args.command == "dim":
-            return _cmd_dim(args, out)
-        if args.command == "strata":
-            return _cmd_strata(args, out)
-        if args.command == "sup":
-            return _cmd_sup(args, out)
-        if args.command == "table":
-            return _cmd_table(args, out)
-        if args.command == "oracle":
-            if args.oracle_command == "as-count":
-                return _cmd_oracle_as_count(args, out)
-            if args.oracle_command == "verify":
-                return _cmd_oracle_verify(args, out)
-            if args.oracle_command == "tame":
-                return _cmd_oracle_tame(args, out)
-        err.write(f"error: unknown command {args.command!r}\n")
-        return 2
-    except (ValueError, CycleParseError) as exc:
+        _render(args.handler(args), args.format, out)
+    except ValueError as exc:  # CycleParseError included
         err.write(f"error: {exc}\n")
         return 2
     except Exception as exc:  # internal fault
         err.write(f"internal error: {exc!r}\n")
         return 1
+    return 0
 
 
 def main() -> None:

@@ -383,9 +383,9 @@ def tame_totally_ramified_count(q: int, n: int) -> int:
     when beta'/beta is a constant.  So the count is
     #{beta in F_Q^* : beta^n in F_q^*} / (q - 1).
     """
-    p, e = factor_prime_power(q)
-    if q > MAX_Q:
+    if q > MAX_Q:  # before factoring, which is linear in q
         raise ValueError(f"q must be <= {MAX_Q}, got {q}")
+    p, e = factor_prime_power(q)
     if not 1 <= n <= MAX_POLE:
         raise ValueError(f"n must be in 1..{MAX_POLE}, got {n}")
     if n % p == 0:

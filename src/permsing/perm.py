@@ -1,7 +1,7 @@
 """Permutations, permutation groups, and branch-divisor data.
 
 A group G acting on affine n-space by permuting coordinates is stored as an
-explicit set of elements of S_n (intended scale |G| <= 10^5, n <= 12).  The
+explicit set of elements of S_n (|G| <= 2*10^5, the cap MAX_GROUP_ORDER).  The
 classifier only needs membership, conjugation, and the transposition set: the
 pseudo-reflections of a permutation action are exactly the transpositions, and
 the components of the branch divisor correspond to conjugation orbits of
@@ -11,6 +11,7 @@ transpositions in G.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -166,6 +167,17 @@ def parse_generators(text: str, n: int) -> list[Permutation]:
     return [parse_permutation(part, n) for part in text.split(";")]
 
 
+def _embedded_degree(m: int, n: Optional[int], order: int) -> int:
+    """The ambient degree n (default m) of a preset on m points, checked
+    before any element is built."""
+    n = m if n is None else n
+    if not 1 <= m <= n:
+        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+    if order > MAX_GROUP_ORDER:
+        raise ValueError(f"group order exceeds {MAX_GROUP_ORDER}")
+    return n
+
+
 class PermutationGroup:
     """A subgroup of S_n stored as an explicit, closed element set."""
 
@@ -222,14 +234,7 @@ class PermutationGroup:
     @classmethod
     def symmetric(cls, m: int, n: Optional[int] = None) -> "PermutationGroup":
         """S_m embedded in S_n (fixing m+1..n)."""
-        n = m if n is None else n
-        if not 1 <= m <= n:
-            raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-        order = 1
-        for k in range(2, m + 1):
-            order *= k
-        if order > MAX_GROUP_ORDER:
-            raise ValueError(f"group order exceeds {MAX_GROUP_ORDER}")
+        n = _embedded_degree(m, n, math.factorial(m))
         tail = tuple(range(m + 1, n + 1))
         elements = frozenset(
             Permutation(p + tail) for p in itertools.permutations(range(1, m + 1))
@@ -245,19 +250,18 @@ class PermutationGroup:
 
     @classmethod
     def alternating(cls, m: int, n: Optional[int] = None) -> "PermutationGroup":
-        """A_m embedded in S_n."""
-        sym = cls.symmetric(m, n)
-        elements = frozenset(g for g in sym.elements if g.is_even())
+        """A_m embedded in S_n, closed from its standard generators."""
+        n = _embedded_degree(m, n, math.factorial(m) // 2)
         gens: list[Permutation] = []
         if m >= 3:
-            gens.append(parse_permutation("(1 2 3)", sym.n))
+            gens.append(parse_permutation("(1 2 3)", n))
         if m >= 4:
             # (1 2 ... m) is even iff m is odd; otherwise use the (m-1)-cycle.
             lo = 1 if m % 2 == 1 else 2
             gens.append(
-                parse_permutation("(" + " ".join(map(str, range(lo, m + 1))) + ")", sym.n)
+                parse_permutation("(" + " ".join(map(str, range(lo, m + 1))) + ")", n)
             )
-        return cls(sym.n, elements, tuple(gens))
+        return cls.from_generators(gens, n)
 
     @classmethod
     def cyclic(cls, k: int, n: Optional[int] = None) -> "PermutationGroup":
@@ -322,11 +326,6 @@ class PermutationGroup:
         return all(g.is_even() for g in self.elements)
 
 
-def group_closure(generators: Iterable[Permutation], n: int) -> PermutationGroup:
-    """Smallest subgroup of S_n containing the generators."""
-    return PermutationGroup.from_generators(generators, n)
-
-
 def fixed_space_dimension(g: Permutation) -> int:
     """Dimension of the fixed subspace of the permutation matrix of g.
 
@@ -346,11 +345,6 @@ def is_pseudo_reflection(g: Permutation) -> bool:
     if g.is_identity():
         raise ValueError("identity is not eligible")
     return fixed_space_dimension(g) == g.n - 1
-
-
-def transpositions(group: PermutationGroup) -> list[Permutation]:
-    """All transpositions contained in the group, sorted."""
-    return group.transpositions()
 
 
 def branch_components(group: PermutationGroup) -> int:

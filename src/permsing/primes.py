@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 
+# trial division up to sqrt(p) stays near 0.1 s; the cache makes the repeated
+# checks of one characteristic (one per stratum or table cell) free
+MAX_CHARACTERISTIC = 10**12
+
+
+@lru_cache(maxsize=64)
 def is_prime(m: int) -> bool:
     if m < 2:
         return False
@@ -22,6 +29,8 @@ def validate_characteristic(p: int) -> int:
     """A characteristic is 0 or a prime; anything else is rejected."""
     if not isinstance(p, int) or isinstance(p, bool):
         raise ValueError(f"characteristic must be an integer, got {p!r}")
+    if p > MAX_CHARACTERISTIC:
+        raise ValueError(f"characteristic must be at most {MAX_CHARACTERISTIC}, got {p}")
     if p != 0 and not is_prime(p):
         raise ValueError(f"characteristic must be 0 or prime, got {p}")
     return p

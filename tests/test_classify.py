@@ -20,6 +20,7 @@ from permsing import (
     pair_status,
     v_of_discriminant,
 )
+from permsing import primes
 from permsing.classify import (
     ANCHOR_CANONICAL_FROM_STRATA,
     ANCHOR_DISCREPANCY_REDUCTION,
@@ -31,6 +32,7 @@ from permsing.classify import (
     ANCHOR_OFF_BOUNDARY,
     ANCHOR_STRINGY_BOUND,
 )
+from permsing.primes import MAX_CHARACTERISTIC, validate_characteristic
 
 from helpers import all_subgroups
 
@@ -129,6 +131,21 @@ def test_classify_cyclic3_char_three():
 def test_classify_validates_characteristic():
     with pytest.raises(ValueError):
         classify(PermutationGroup.symmetric(2), 6)
+
+
+def test_characteristic_above_cap_rejected_before_primality(monkeypatch):
+    largest_prime_under_cap = 999_999_999_989
+    assert validate_characteristic(largest_prime_under_cap) == largest_prime_under_cap
+
+    def unreachable(m):
+        raise AssertionError("trial division must not run above the cap")
+
+    monkeypatch.setattr(primes, "is_prime", unreachable)
+    for p in (MAX_CHARACTERISTIC + 39, 2**61 - 1):
+        with pytest.raises(ValueError, match="at most"):
+            validate_characteristic(p)
+        with pytest.raises(ValueError, match="at most"):
+            classify(PermutationGroup.symmetric(2), p)
 
 
 def test_classify_nonfree_locus_bound():

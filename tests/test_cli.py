@@ -9,7 +9,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from permsing import cli
+from permsing import cli, oracle, primes
 
 
 def run_cli(argv):
@@ -154,6 +154,45 @@ def test_sup_beyond_max_degree_exits_2(monkeypatch):
     code, out, err = run_cli(["sup", "--n", "1000000000", "--p", "2"])
     assert code == 2 and out == ""
     assert err.startswith("error:") and "at most 100000" in err
+
+
+@pytest.mark.parametrize(
+    "argv, costly, limit",
+    [
+        (["classify", "--n", "1000000000", "--p", "2", "--group-name", "trivial"],
+         (cli, "group_from_name"), "at most 64"),
+        (["classify", "--n", "65", "--p", "2", "--group", "(1 2)"],
+         (cli.PermutationGroup, "from_text"), "at most 64"),
+        (["strata", "--n", "20", "--d", "13", "--p", "2", "--format", "json"],
+         (cli, "enumerate_strata"), "at most 32"),
+        (["table", "--max-n", "100001", "--max-d", "0", "--p", "2", "--csv"],
+         (cli, "dim_connected"), "at most 100000"),
+        (["table", "--max-n", "1000000000", "--max-d", "-5", "--p", "2"],
+         (cli, "dim_connected"), "at most 100000"),
+        (["dim", "--n", "2", "--d", "1", "--p", str(2**61 - 1)],
+         (primes, "is_prime"), "at most 1000000000000"),
+        (["oracle", "tame", "--q", "1000000007", "--n", "2"],
+         (oracle, "factor_prime_power"), "q must be <= 81"),
+    ],
+    ids=["classify-name", "classify-group", "strata", "table", "table-empty-d", "dim-p", "tame-q"],
+)
+def test_size_beyond_cap_exits_2(monkeypatch, argv, costly, limit):
+    def unreachable(*args, **kwargs):
+        raise AssertionError(f"{costly[1]} must not run for an out-of-range input")
+
+    monkeypatch.setattr(*costly, unreachable)
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and limit in err
+
+
+def test_sizes_at_cap_run():
+    code, out, _ = run_cli(["classify", "--n", "64", "--p", "2", "--group-name", "klein4"])
+    assert code == 0 and json.loads(out)["n"] == 64
+    code, out, _ = run_cli(["strata", "--n", "1", "--d", "31"])
+    assert code == 0 and out == "(no strata)\n"
+    code, out, _ = run_cli(["table", "--max-n", "100000", "--max-d", "-1", "--p", "2", "--csv"])
+    assert code == 0 and out == "n,d,dim,dim_minus_v\n"
 
 
 def test_table_csv_reparses_with_nonpositive_excess():

@@ -12,12 +12,10 @@ from permsing import (
     branch_components,
     fixed_space_dimension,
     gorenstein_report,
-    group_closure,
     group_from_name,
     is_pseudo_reflection,
     parse_generators,
     parse_permutation,
-    transpositions,
 )
 from permsing.perm import CycleParseError
 
@@ -88,19 +86,19 @@ def test_composition_convention():
 
 
 def test_closure_order_two():
-    G = group_closure([parse_permutation("(1 2)", 2)], 2)
+    G = PermutationGroup.from_generators([parse_permutation("(1 2)", 2)], 2)
     assert G.order == 2
 
 
 def test_closure_empty_generators():
-    assert group_closure([], 3).order == 1
+    assert PermutationGroup.from_generators([], 3).order == 1
 
 
 def test_closure_klein_four():
     # brute-force expectation: the four products of the two generators
     a = parse_permutation("(1 2)(3 4)", 4)
     b = parse_permutation("(1 3)(2 4)", 4)
-    G = group_closure([a, b], 4)
+    G = PermutationGroup.from_generators([a, b], 4)
     assert G.order == 4
     assert G.elements == frozenset([Permutation.identity(4), a, b, a * b])
 
@@ -108,13 +106,13 @@ def test_closure_klein_four():
 def test_closure_idempotent():
     for text, n in [("(1 2);(1 2 3)", 3), ("(1 2)(3 4);(1 3)(2 4)", 4), ("(1 2 3 4 5)", 5)]:
         G = PermutationGroup.from_text(text, n)
-        again = group_closure(G.elements, n)
+        again = PermutationGroup.from_generators(G.elements, n)
         assert again.elements == G.elements
 
 
 def test_closure_mixed_degrees_rejected():
     with pytest.raises(ValueError):
-        group_closure([parse_permutation("(1 2)", 2)], 3)
+        PermutationGroup.from_generators([parse_permutation("(1 2)", 2)], 3)
 
 
 def test_lagrange_for_small_degrees():
@@ -123,7 +121,7 @@ def test_lagrange_for_small_degrees():
     for n in range(1, 5):
         elements = [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
         for a, b in itertools.combinations(elements, 2):
-            G = group_closure([a, b], n)
+            G = PermutationGroup.from_generators([a, b], n)
             assert math.factorial(n) % G.order == 0
 
 
@@ -175,14 +173,14 @@ def test_pseudo_reflection_iff_transposition():
 # transpositions and branch components
 
 def test_transpositions_examples():
-    assert {g.images for g in transpositions(PermutationGroup.symmetric(3))} == {
+    assert {g.images for g in PermutationGroup.symmetric(3).transpositions()} == {
         (2, 1, 3),
         (3, 2, 1),
         (1, 3, 2),
     }
-    assert transpositions(PermutationGroup.klein_four(4)) == []
+    assert PermutationGroup.klein_four(4).transpositions() == []
     G = PermutationGroup.from_text("(1 2);(3 4)", 4)
-    assert {g.cycle_string() for g in transpositions(G)} == {"(1 2)", "(3 4)"}
+    assert {g.cycle_string() for g in G.transpositions()} == {"(1 2)", "(3 4)"}
 
 
 def test_branch_components_examples():
@@ -199,7 +197,7 @@ def test_branch_components_zero_iff_no_transpositions():
         PermutationGroup.from_text("(1 2);(3 4)", 4),
         PermutationGroup.trivial(4),
     ]:
-        has = len(transpositions(G)) > 0
+        has = len(G.transpositions()) > 0
         assert (branch_components(G) > 0) == has
         report = gorenstein_report(G, 5)
         assert (report.boundary_coefficient is not None) == has
@@ -279,6 +277,21 @@ def test_conjugation_invariance_of_branch_data():
 
 # ---------------------------------------------------------------------------
 # presets
+
+def test_alternating_matches_even_part_of_symmetric():
+    for m in range(1, 8):
+        even = {g for g in PermutationGroup.symmetric(m).elements if g.is_even()}
+        assert PermutationGroup.alternating(m).elements == even
+    assert PermutationGroup.alternating(3, 5).elements == {
+        g for g in PermutationGroup.symmetric(3, 5).elements if g.is_even()
+    }
+
+
+def test_alternating_nine_is_under_the_order_cap():
+    assert PermutationGroup.alternating(9).order == 181_440
+    with pytest.raises(ValueError, match="exceeds"):
+        PermutationGroup.alternating(10)
+
 
 def test_group_presets():
     assert group_from_name("S4", 4).order == 24
