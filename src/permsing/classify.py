@@ -203,8 +203,8 @@ def classify(group: PermutationGroup, p: int) -> ClassificationReport:
     """
     validate_characteristic(p)
     n = group.n
-    has_t = group.has_transposition
     gor = gorenstein_report(group, p)
+    has_t = gor.branch_component_count > 0
     trace: list[TraceEntry] = []
 
     trace.append(
@@ -316,10 +316,11 @@ def classify(group: PermutationGroup, p: int) -> ClassificationReport:
         )
     )
 
-    nonfree: Optional[int] = None
-    non_identity = [g for g in group.elements if not g.is_identity()]
-    if non_identity:
-        nonfree = max(fixed_space_dimension(g) for g in non_identity)
+    # a transposition fixes a hyperplane, the most a non-identity element can
+    nonfree = n - 1 if has_t else max(
+        (fixed_space_dimension(g) for g in group.elements if not g.is_identity()), default=None
+    )
+    if nonfree is not None:
         trace.append(
             TraceEntry(
                 ANCHOR_NONFREE_LOCUS,

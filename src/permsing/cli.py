@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import chain
 from typing import Iterable, NamedTuple, Optional, Sequence, TextIO
 
@@ -36,7 +37,7 @@ from .strata import (
 )
 
 MAX_SUP_N = 100_000  # worst_partition has about n entries
-MAX_DEGREE = 64  # classify --n: S8 at n = 64 already takes about 3 s
+MAX_DEGREE = 64  # classify --n: S8 at n = 64 already takes about 1 s
 MAX_STRATA_SIZE = 32  # strata --n + --d: the shape count grows exponentially
 MAX_TABLE_CELLS = 100_000  # table --max-n * (--max-d + 1)
 
@@ -321,8 +322,9 @@ def run(argv: list[str], out: Optional[TextIO] = None, err: Optional[TextIO] = N
     """Execute one CLI invocation; returns the exit code."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    try:
-        args = _build_parser().parse_args(argv)
+    try:  # argparse writes usage errors and --help itself, so point it at out and err
+        with redirect_stdout(out), redirect_stderr(err):
+            args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,11 +1,13 @@
 """Permutations, permutation groups, and branch-divisor data.
 
-A group G acting on affine n-space by permuting coordinates is stored as an
-explicit set of elements of S_n (|G| <= 2*10^5, the cap MAX_GROUP_ORDER).  The
-classifier only needs membership, conjugation, and the transposition set: the
-pseudo-reflections of a permutation action are exactly the transpositions, and
-the components of the branch divisor correspond to conjugation orbits of
-transpositions in G.
+A group G acting on affine n-space by permuting coordinates is stored as its
+generators and the element set of S_n they close to (|G| <= 2*10^5, the cap
+MAX_GROUP_ORDER).  The pseudo-reflections of such an action are exactly the
+transpositions, and the branch divisor has one component per conjugation orbit
+of them.  Evenness is read from the generators; the transpositions are the
+swaps within a generator orbit that pass a membership test, and their orbits
+are orbits of point pairs under the generators.  Only the non-free-locus bound
+of a transposition-free group walks the elements (in `classify`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .primes import validate_characteristic
 
@@ -95,12 +97,6 @@ class Permutation:
         """Number of orbits on {1..n}, fixed points included."""
         return len(self.cycles(include_fixed=True))
 
-    def cycle_type(self) -> tuple[int, ...]:
-        """Cycle lengths, weakly decreasing, fixed points included."""
-        return tuple(
-            sorted((len(c) for c in self.cycles(include_fixed=True)), reverse=True)
-        )
-
     def is_transposition(self) -> bool:
         moved = [i for i in range(1, self.n + 1) if self(i) != i]
         return len(moved) == 2
@@ -179,7 +175,7 @@ def _embedded_degree(m: int, n: Optional[int], order: int) -> int:
 
 
 class PermutationGroup:
-    """A subgroup of S_n stored as an explicit, closed element set."""
+    """A subgroup of S_n: its generators and the element set they close to."""
 
     __slots__ = ("n", "elements", "generators")
 
@@ -233,12 +229,8 @@ class PermutationGroup:
 
     @classmethod
     def symmetric(cls, m: int, n: Optional[int] = None) -> "PermutationGroup":
-        """S_m embedded in S_n (fixing m+1..n)."""
+        """S_m embedded in S_n (fixing m+1..n), closed from (1 2) and (1 2 ... m)."""
         n = _embedded_degree(m, n, math.factorial(m))
-        tail = tuple(range(m + 1, n + 1))
-        elements = frozenset(
-            Permutation(p + tail) for p in itertools.permutations(range(1, m + 1))
-        )
         gens: list[Permutation] = []
         if m >= 2:
             gens.append(parse_permutation("(1 2)", n))
@@ -246,7 +238,7 @@ class PermutationGroup:
             gens.append(
                 parse_permutation("(" + " ".join(map(str, range(1, m + 1))) + ")", n)
             )
-        return cls(n, elements, tuple(gens))
+        return cls.from_generators(gens, n)
 
     @classmethod
     def alternating(cls, m: int, n: Optional[int] = None) -> "PermutationGroup":
@@ -290,40 +282,48 @@ class PermutationGroup:
     def __contains__(self, g: Permutation) -> bool:
         return g in self.elements
 
-    def __iter__(self) -> Iterator[Permutation]:
-        return iter(sorted(self.elements))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PermutationGroup)
-            and self.n == other.n
-            and self.elements == other.elements
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.elements))
-
     def __repr__(self) -> str:
         gens = ", ".join(g.cycle_string() or "id" for g in self.generators) or "id"
         return f"PermutationGroup(n={self.n}, order={self.order}, <{gens}>)"
 
     def conjugate_by(self, s: Permutation) -> "PermutationGroup":
-        """The relabelled group s G s^-1."""
-        return PermutationGroup(
-            self.n,
-            frozenset(g.conjugate_by(s) for g in self.elements),
-            tuple(g.conjugate_by(s) for g in self.generators),
-        )
+        """The relabelled group s G s^-1, closed from the relabelled generators."""
+        return self.from_generators((g.conjugate_by(s) for g in self.generators), self.n)
 
     def transpositions(self) -> list[Permutation]:
-        return sorted(g for g in self.elements if g.is_transposition())
-
-    @property
-    def has_transposition(self) -> bool:
-        return any(g.is_transposition() for g in self.elements)
+        """The transpositions in G, sorted: swaps of two points in one G-orbit
+        that pass the membership test."""
+        swaps = (
+            parse_permutation(f"({i} {j})", self.n)
+            for orbit in _orbits(range(1, self.n + 1), self.generators, lambda g, i: g(i))
+            for i, j in itertools.combinations(orbit, 2)
+        )
+        return sorted(t for t in swaps if t in self)
 
     def all_even(self) -> bool:
-        return all(g.is_even() for g in self.elements)
+        """G is even exactly when its generators are."""
+        return all(g.is_even() for g in self.generators)
+
+
+def _orbits(points: Iterable, generators: Sequence[Permutation], image: Callable) -> list[set]:
+    """The orbits of <generators> on a set of points it maps to itself, where
+    image(g, x) is the image of x under g.  In a finite group every element is
+    a product of generators, so closing under them alone gives the orbit."""
+    remaining = set(points)
+    orbits = []
+    while remaining:
+        start = remaining.pop()
+        orbit, stack = {start}, [start]
+        while stack:
+            x = stack.pop()
+            for g in generators:
+                y = image(g, x)
+                if y not in orbit:
+                    orbit.add(y)
+                    stack.append(y)
+        remaining -= orbit
+        orbits.append(orbit)
+    return orbits
 
 
 def fixed_space_dimension(g: Permutation) -> int:
@@ -352,16 +352,12 @@ def branch_components(group: PermutationGroup) -> int:
 
     The ramification divisor of the quotient map is the union of the
     hyperplanes x_i = x_j over transpositions (i j) in G, and its image has
-    one component per conjugation orbit of transpositions under G.
+    one component per conjugation orbit of transpositions under G.  Since
+    g (i j) g^-1 = (g(i) g(j)), these are the orbits of the pairs {i, j}
+    under the generators.
     """
-    remaining = set(group.transpositions())
-    orbits = 0
-    while remaining:
-        t = remaining.pop()
-        orbit = {t.conjugate_by(s) for s in group.elements}
-        remaining -= orbit
-        orbits += 1
-    return orbits
+    pairs = [frozenset(t.cycles()[0]) for t in group.transpositions()]
+    return len(_orbits(pairs, group.generators, lambda g, pair: frozenset(map(g, pair))))
 
 
 @dataclass(frozen=True)

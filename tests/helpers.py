@@ -204,3 +204,32 @@ def all_subgroups(n: int) -> list[PermutationGroup]:
         sub = PermutationGroup.from_generators([a, b], n)
         seen.setdefault(frozenset(g.images for g in sub.elements), sub)
     return list(seen.values())
+
+
+# ---------------------------------------------------------------------------
+# group invariants by walking every element of G (the library reads them from
+# the generators and membership tests)
+
+def scan_transpositions(G: PermutationGroup) -> list[Permutation]:
+    return sorted(g for g in G.elements if g.is_transposition())
+
+
+def scan_branch_components(G: PermutationGroup) -> int:
+    """G-orbits of transpositions, by conjugating with every element."""
+    remaining = set(scan_transpositions(G))
+    orbits = 0
+    while remaining:
+        t = remaining.pop()
+        remaining -= {t.conjugate_by(s) for s in G.elements}
+        orbits += 1
+    return orbits
+
+
+def scan_all_even(G: PermutationGroup) -> bool:
+    return all(g.is_even() for g in G.elements)
+
+
+def scan_nonfree_bound(G: PermutationGroup):
+    """Largest cycle count over non-identity elements; None for trivial G."""
+    counts = [g.cycle_count() for g in G.elements if not g.is_identity()]
+    return max(counts) if counts else None

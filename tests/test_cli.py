@@ -257,6 +257,16 @@ def test_unknown_command_exits_2():
     assert code == 2
 
 
+def test_argparse_writes_to_the_callers_streams(capsys):
+    code, out, err = run_cli(["dim", "--n", "x", "--d", "1", "--p", "2"])
+    assert code == 2 and out == ""
+    assert err.startswith("usage: permsing dim") and "invalid int value: 'x'" in err
+    code, out, err = run_cli(["--help"])
+    assert code == 0 and err == ""
+    assert out.startswith("usage: permsing")
+    assert capsys.readouterr() == ("", "")
+
+
 def test_invalid_characteristic_exits_2():
     code, _, err = run_cli(["dim", "--n", "2", "--d", "1", "--p", "6"])
     assert code == 2
