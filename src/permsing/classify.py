@@ -13,13 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .halfint import NEG_INF, ExtHalf
-from .perm import (
-    GorensteinReport,
-    PermutationGroup,
-    fixed_space_dimension,
-    gorenstein_report,
-)
+from .halfint import ExtHalf
+from .perm import GorensteinReport, PermutationGroup, gorenstein_report
 from .primes import validate_characteristic
 from .strata import GlobalSup, global_sup
 
@@ -316,10 +311,8 @@ def classify(group: PermutationGroup, p: int) -> ClassificationReport:
         )
     )
 
-    # a transposition fixes a hyperplane, the most a non-identity element can
-    nonfree = n - 1 if has_t else max(
-        (fixed_space_dimension(g) for g in group.elements if not g.is_identity()), default=None
-    )
+    # the fixed space of an element has one dimension per cycle
+    nonfree = group.max_cycle_count()
     if nonfree is not None:
         trace.append(
             TraceEntry(

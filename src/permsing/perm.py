@@ -1,13 +1,18 @@
 """Permutations, permutation groups, and branch-divisor data.
 
 A group G acting on affine n-space by permuting coordinates is stored as its
-generators and the element set of S_n they close to (|G| <= 2*10^5, the cap
-MAX_GROUP_ORDER).  The pseudo-reflections of such an action are exactly the
-transpositions, and the branch divisor has one component per conjugation orbit
-of them.  Evenness is read from the generators; the transpositions are the
-swaps within a generator orbit that pass a membership test, and their orbits
-are orbits of point pairs under the generators.  Only the non-free-locus bound
-of a transposition-free group walks the elements (in `classify`).
+generators and a stabilizer chain: a base and strong generating set built by
+deterministic Schreier-Sims, with one transversal per level.  The order is the
+product of the transversal lengths and membership is a sift down the chain; no
+element set is kept.  The build stops as soon as |G| is known to exceed
+MAX_GROUP_ORDER (2*10^5).  The pseudo-reflections of such an action are
+exactly the transpositions, and the branch divisor has one component per
+conjugation orbit of them.  Evenness is read from the generators; the
+transpositions are the swaps within a generator orbit that pass a membership
+test, and their orbits are orbits of point pairs under the generators.  The
+non-free-locus bound tests the swaps, 3-cycles and double transpositions by
+membership too, and walks the elements only when that is cheaper or none of
+them is in G.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .primes import validate_characteristic
@@ -56,17 +62,26 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
 
+    @classmethod
+    def _valid(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap an image tuple known to be a permutation (a product or an
+        inverse of permutations), skipping the check in __init__."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "images", images)
+        return g
+
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition: (self * other)(i) = self(other(i))."""
         if self.n != other.n:
             raise ValueError("mixed degrees")
-        return Permutation(self.images[j - 1] for j in other.images)
+        images = self.images
+        return Permutation._valid(tuple([images[j - 1] for j in other.images]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
         for i, j in enumerate(self.images, start=1):
             inv[j - 1] = i
-        return Permutation(inv)
+        return Permutation._valid(tuple(inv))
 
     def conjugate_by(self, s: "Permutation") -> "Permutation":
         """s * self * s^-1."""
@@ -175,19 +190,27 @@ def _embedded_degree(m: int, n: Optional[int], order: int) -> int:
 
 
 class PermutationGroup:
-    """A subgroup of S_n: its generators and the element set they close to."""
+    """A subgroup of S_n: its generators and a stabilizer chain for them.
 
-    __slots__ = ("n", "elements", "generators")
+    The chain is a base b_0, ..., b_{k-1} and, per level i, the transversal of
+    the orbit of b_i under the stabilizer of b_0, ..., b_{i-1}: a dict sending
+    each orbit point x to a pair (u, u^-1) of 0-based image tuples with
+    u(b_i) = x.  Every element is exactly one product u_0 u_1 ... u_{k-1}.
+    """
+
+    __slots__ = ("n", "generators", "_base", "_transversals")
 
     def __init__(
         self,
         n: int,
-        elements: frozenset[Permutation],
         generators: tuple[Permutation, ...],
+        base: tuple[int, ...],
+        transversals: tuple[dict, ...],
     ):
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "_base", base)
+        object.__setattr__(self, "_transversals", transversals)
 
     def __setattr__(self, name, value):
         raise AttributeError("PermutationGroup is immutable")
@@ -196,28 +219,13 @@ class PermutationGroup:
     def from_generators(
         cls, generators: Iterable[Permutation], n: int
     ) -> "PermutationGroup":
-        """Smallest subgroup of S_n containing the generators (BFS closure)."""
+        """Smallest subgroup of S_n containing the generators (Schreier-Sims)."""
         gens = tuple(generators)
         for g in gens:
             if g.n != n:
                 raise ValueError(f"mixed degrees: generator of degree {g.n} in S_{n}")
-        identity = Permutation.identity(n)
-        elements = {identity}
-        frontier = [identity]
-        while frontier:
-            nxt = []
-            for h in frontier:
-                for g in gens:
-                    prod = g * h
-                    if prod not in elements:
-                        elements.add(prod)
-                        nxt.append(prod)
-                        if len(elements) > MAX_GROUP_ORDER:
-                            raise ValueError(
-                                f"group order exceeds {MAX_GROUP_ORDER}"
-                            )
-            frontier = nxt
-        return cls(n, frozenset(elements), gens)
+        base, transversals = _schreier_sims([_zero_based(g) for g in gens], n)
+        return cls(n, gens, tuple(base), tuple(transversals))
 
     @classmethod
     def from_text(cls, text: str, n: int) -> "PermutationGroup":
@@ -277,10 +285,15 @@ class PermutationGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return math.prod(len(t) for t in self._transversals)
 
     def __contains__(self, g: Permutation) -> bool:
-        return g in self.elements
+        return isinstance(g, Permutation) and g.n == self.n and self._sifts(_zero_based(g))
+
+    def _sifts(self, h: tuple[int, ...]) -> bool:
+        """Whether the 0-based image tuple h sifts to the identity."""
+        h, level = _sift(h, self._base, self._transversals, 0)
+        return level == len(self._base) and all(x == i for i, x in enumerate(h))
 
     def __repr__(self) -> str:
         gens = ", ".join(g.cycle_string() or "id" for g in self.generators) or "id"
@@ -294,15 +307,83 @@ class PermutationGroup:
         """The transpositions in G, sorted: swaps of two points in one G-orbit
         that pass the membership test."""
         swaps = (
-            parse_permutation(f"({i} {j})", self.n)
-            for orbit in _orbits(range(1, self.n + 1), self.generators, lambda g, i: g(i))
-            for i, j in itertools.combinations(orbit, 2)
+            _cycle_images(self.n, [pair])
+            for orbit in self._point_orbits()
+            for pair in itertools.combinations(orbit, 2)
         )
-        return sorted(t for t in swaps if t in self)
+        return sorted(Permutation(x + 1 for x in t) for t in swaps if self._sifts(t))
 
     def all_even(self) -> bool:
         """G is even exactly when its generators are."""
         return all(g.is_even() for g in self.generators)
+
+    def max_cycle_count(self) -> Optional[int]:
+        """The largest cycle count (fixed points included) of a non-identity
+        element; None for the trivial group.
+
+        The count is n - 1 exactly for transpositions and n - 2 exactly for
+        3-cycles and double transpositions, and the points a cycle of an
+        element of G joins lie in one generator orbit.  So those candidates
+        are tested by membership in that order, and the elements are walked
+        only when none is in G, or when |G| is not larger than the number of
+        candidates.
+        """
+        sizes = [len(o) for o in self._point_orbits()]
+        swaps = sum(math.comb(m, 2) for m in sizes)
+        candidates = (
+            swaps
+            + sum(2 * math.comb(m, 3) for m in sizes)
+            # pairs of disjoint swaps: all pairs, less those sharing a point
+            + math.comb(swaps, 2)
+            - sum(m * math.comb(m - 1, 2) for m in sizes)
+        )
+        if self.order <= candidates:
+            return self._max_cycle_count_by_walk(self.n - 1)
+        return self._max_cycle_count_by_membership()
+
+    def _max_cycle_count_by_membership(self) -> Optional[int]:
+        n = self.n
+        orbits = self._point_orbits()
+        swaps = [pair for o in orbits for pair in itertools.combinations(o, 2)]
+        if any(self._sifts(_cycle_images(n, [pair])) for pair in swaps):
+            return n - 1
+        three_cycles = (
+            cycle
+            for o in orbits
+            for a, b, c in itertools.combinations(o, 3)
+            for cycle in ((a, b, c), (a, c, b))
+        )
+        double_transpositions = (
+            [p, q] for p, q in itertools.combinations(swaps, 2) if not set(p) & set(q)
+        )
+        if any(self._sifts(_cycle_images(n, [c])) for c in three_cycles) or any(
+            self._sifts(_cycle_images(n, pq)) for pq in double_transpositions
+        ):
+            return n - 2
+        return self._max_cycle_count_by_walk(n - 3)
+
+    def _max_cycle_count_by_walk(self, ceiling: int) -> Optional[int]:
+        """Walk every element, as a product of one transversal representative
+        per level, stopping early once a count reaches the ceiling."""
+        n = self.n
+        levels = [[u for u, _ in t.values()] for t in self._transversals]
+        if not levels:
+            return None
+        best = None
+        last = [itemgetter(*u) for u in levels[-1]]  # n >= 2 here
+        for prefix in _prefix_products(levels[:-1], tuple(range(n))):
+            for times_u in last:
+                count = _cycle_count(times_u(prefix))
+                if count < n and (best is None or count > best):
+                    best = count
+                    if best >= ceiling:
+                        return best
+        return best
+
+    def _point_orbits(self) -> list[list[int]]:
+        """The orbits of G on the 0-based points, each sorted."""
+        gens = [_zero_based(g) for g in self.generators]
+        return [sorted(o) for o in _orbits(range(self.n), gens, tuple.__getitem__)]
 
 
 def _orbits(points: Iterable, generators: Sequence[Permutation], image: Callable) -> list[set]:
@@ -324,6 +405,141 @@ def _orbits(points: Iterable, generators: Sequence[Permutation], image: Callable
         remaining -= orbit
         orbits.append(orbit)
     return orbits
+
+
+# Stabilizer chains work on 0-based image tuples: g(i) = images[i].
+
+def _zero_based(g: Permutation) -> tuple[int, ...]:
+    return tuple([x - 1 for x in g.images])
+
+
+def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """(a * b)(i) = a(b(i))."""
+    # itemgetter of one index returns the item itself, not a 1-tuple
+    return itemgetter(*b)(a) if len(b) > 1 else (a[b[0]],)
+
+
+def _inverse(a: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(a)
+    for i, j in enumerate(a):
+        inv[j] = i
+    return tuple(inv)
+
+
+def _cycle_images(n: int, cycles: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The product of disjoint cycles of 0-based points."""
+    images = list(range(n))
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            images[a] = b
+    return tuple(images)
+
+
+def _cycle_count(g: tuple[int, ...]) -> int:
+    seen = [False] * len(g)
+    count = 0
+    for start, j in enumerate(g):
+        if not seen[start]:
+            count += 1
+            seen[start] = True
+            while j != start:
+                seen[j] = True
+                j = g[j]
+    return count
+
+
+def _prefix_products(levels: list[list], prefix: tuple[int, ...]):
+    """Every product prefix * u_0 * ... * u_{k-1}, one u_i from each level."""
+    if not levels:
+        yield prefix
+        return
+    for u in levels[0]:
+        yield from _prefix_products(levels[1:], _compose(prefix, u))
+
+
+def _schreier_sims(gens: list[tuple[int, ...]], n: int) -> tuple[list[int], list[dict]]:
+    """Base and transversals of the group the 0-based image tuples generate,
+    by deterministic Schreier-Sims (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 4.4.2).
+
+    Level i keeps the strong generators fixing base[:i], with their inverses,
+    and the transversal of their orbit of base[i].  Each generator, and then
+    each Schreier generator u_{s(x)}^-1 s u_x of a level, is sifted through
+    the levels below it.  A residue that does not sift joins those levels as
+    a strong generator (on a new base point if it fixes the whole base), and
+    the check resumes at the deepest level it joined.  The product of the
+    orbit sizes is a lower bound on |G| throughout, so the build stops as
+    soon as it exceeds MAX_GROUP_ORDER.
+    """
+    identity = tuple(range(n))
+    base: list[int] = []
+    strong: list[list[tuple]] = []
+    trans: list[dict] = []
+
+    def add(h, lo, hi):
+        if hi == len(base):
+            b = next(x for x in range(n) if h[x] != x)
+            base.append(b)
+            strong.append([])
+            trans.append({b: (identity, identity)})
+        pair = (h, _inverse(h))
+        for i in range(lo, hi + 1):
+            strong[i].append(pair)
+            _extend_orbit(trans[i], strong[i])
+        if math.prod(len(t) for t in trans) > MAX_GROUP_ORDER:
+            raise ValueError(f"group order exceeds {MAX_GROUP_ORDER}")
+
+    def schreier_generators(i):
+        t = trans[i]
+        for u, _ in t.values():
+            for s, _ in strong[i]:
+                su = _compose(s, u)
+                v, v_inv = t[su[base[i]]]
+                if su != v:
+                    yield _compose(v_inv, su)
+
+    for g in gens:
+        h, j = _sift(g, base, trans, 0)
+        if j < len(base) or h != identity:
+            add(h, 0, j)
+    i = len(base) - 1
+    while i >= 0:
+        for h in schreier_generators(i):
+            h, j = _sift(h, base, trans, i + 1)
+            if j < len(base) or h != identity:
+                add(h, i + 1, j)
+                i = j
+                break
+        else:
+            i -= 1
+    return base, trans
+
+
+def _sift(h: tuple[int, ...], base: Sequence[int], trans: Sequence[dict], level: int):
+    """Strip h down the chain from the given level: the residue, and the level
+    at which it left the chain (len(base) if it passed every level)."""
+    for i in range(level, len(base)):
+        b = base[i]
+        x = h[b]
+        if x != b:
+            u = trans[i].get(x)
+            if u is None:
+                return h, i
+            h = _compose(u[1], h)
+    return h, len(base)
+
+
+def _extend_orbit(t: dict, gens: list[tuple]) -> None:
+    """Close the transversal t under the (generator, inverse) pairs: a new
+    point y = s(x) gets u_y = s u_x and u_y^-1 = u_x^-1 s^-1."""
+    points = list(t)
+    for x in points:
+        u, u_inv = t[x]
+        for s, s_inv in gens:
+            y = s[x]
+            if y not in t:
+                t[y] = (_compose(s, u), _compose(u_inv, s_inv))
+                points.append(y)
 
 
 def fixed_space_dimension(g: Permutation) -> int:

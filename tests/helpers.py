@@ -187,22 +187,41 @@ def transposition_distances(n: int) -> dict[tuple[int, ...], int]:
 
 
 # ---------------------------------------------------------------------------
+# the element set of a group by BFS closure of its generators (the library
+# keeps a stabilizer chain instead)
+
+def elements(G: PermutationGroup) -> frozenset[Permutation]:
+    identity = Permutation.identity(G.n)
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for g in G.generators:
+                prod = g * h
+                if prod not in seen:
+                    seen.add(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    return frozenset(seen)
+
+
+# ---------------------------------------------------------------------------
 # all subgroups of S_n by closing generator subsets of size <= 2
 # (subgroups of S_n for n <= 5 are 2-generated; the known subgroup counts
 # 1, 2, 6, 30, 156 for n = 1..5 are asserted by the callers)
 
 def all_subgroups(n: int) -> list[PermutationGroup]:
-    sym = PermutationGroup.symmetric(n)
-    elements = sorted(sym.elements)
+    sym = sorted(elements(PermutationGroup.symmetric(n)))
     seen: dict[frozenset, PermutationGroup] = {}
     trivial = PermutationGroup.trivial(n)
-    seen[frozenset(g.images for g in trivial.elements)] = trivial
-    for a in elements:
+    seen[frozenset(g.images for g in elements(trivial))] = trivial
+    for a in sym:
         sub = PermutationGroup.from_generators([a], n)
-        seen.setdefault(frozenset(g.images for g in sub.elements), sub)
-    for a, b in itertools.combinations(elements, 2):
+        seen.setdefault(frozenset(g.images for g in elements(sub)), sub)
+    for a, b in itertools.combinations(sym, 2):
         sub = PermutationGroup.from_generators([a, b], n)
-        seen.setdefault(frozenset(g.images for g in sub.elements), sub)
+        seen.setdefault(frozenset(g.images for g in elements(sub)), sub)
     return list(seen.values())
 
 
@@ -211,25 +230,26 @@ def all_subgroups(n: int) -> list[PermutationGroup]:
 # the generators and membership tests)
 
 def scan_transpositions(G: PermutationGroup) -> list[Permutation]:
-    return sorted(g for g in G.elements if g.is_transposition())
+    return sorted(g for g in elements(G) if g.is_transposition())
 
 
 def scan_branch_components(G: PermutationGroup) -> int:
     """G-orbits of transpositions, by conjugating with every element."""
     remaining = set(scan_transpositions(G))
     orbits = 0
+    group = elements(G)
     while remaining:
         t = remaining.pop()
-        remaining -= {t.conjugate_by(s) for s in G.elements}
+        remaining -= {t.conjugate_by(s) for s in group}
         orbits += 1
     return orbits
 
 
 def scan_all_even(G: PermutationGroup) -> bool:
-    return all(g.is_even() for g in G.elements)
+    return all(g.is_even() for g in elements(G))
 
 
 def scan_nonfree_bound(G: PermutationGroup):
     """Largest cycle count over non-identity elements; None for trivial G."""
-    counts = [g.cycle_count() for g in G.elements if not g.is_identity()]
+    counts = [g.cycle_count() for g in elements(G) if not g.is_identity()]
     return max(counts) if counts else None

@@ -204,3 +204,17 @@ def test_criterion_11_closed_form_suprema_at_large_degree():
         ]
         for argv in argvs:
             assert cli.run(argv, out=io.StringIO(), err=io.StringIO()) == 0, argv
+
+
+def test_criterion_12_stabilizer_chain_groups_at_large_degree():
+    with criterion(12, "A9, S8 at n = 64 and an over-the-cap group return at once", 1.0):
+        for argv in (
+            ["classify", "--n", "9", "--p", "2", "--group-name", "A9"],
+            ["classify", "--n", "64", "--p", "3", "--group-name", "S8"],
+        ):
+            assert cli.run(argv, out=io.StringIO(), err=io.StringIO()) == 0, argv
+        err = io.StringIO()
+        long_cycle = "(" + " ".join(map(str, range(1, 65))) + ")"
+        argv = ["classify", "--n", "64", "--p", "2", "--group", "(1 2);" + long_cycle]
+        assert cli.run(argv, out=io.StringIO(), err=err) == 2
+        assert "group order exceeds 200000" in err.getvalue()

@@ -19,7 +19,7 @@ from permsing import (
 )
 from permsing.perm import CycleParseError
 
-from helpers import fixed_dim_rank_mod_p, fixed_dim_rank_Q, transposition_distances
+from helpers import elements, fixed_dim_rank_mod_p, fixed_dim_rank_Q, transposition_distances
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +85,17 @@ def test_composition_convention():
     assert a * a.inverse() == Permutation.identity(3)
 
 
+def test_malformed_images_still_raise_and_products_are_permutations():
+    for images in [(1, 1, 3), (0, 1, 2), (1, 2, 4), ()]:
+        with pytest.raises(ValueError):
+            Permutation(images)
+    for a in itertools.permutations(range(1, 5)):
+        g = Permutation(a)
+        for h in (g * Permutation((2, 3, 4, 1)), g.inverse()):
+            assert sorted(h.images) == [1, 2, 3, 4]
+            assert Permutation(h.images) == h
+
+
 def test_closure_order_two():
     G = PermutationGroup.from_generators([parse_permutation("(1 2)", 2)], 2)
     assert G.order == 2
@@ -100,14 +111,14 @@ def test_closure_klein_four():
     b = parse_permutation("(1 3)(2 4)", 4)
     G = PermutationGroup.from_generators([a, b], 4)
     assert G.order == 4
-    assert G.elements == frozenset([Permutation.identity(4), a, b, a * b])
+    assert elements(G) == frozenset([Permutation.identity(4), a, b, a * b])
 
 
 def test_closure_idempotent():
     for text, n in [("(1 2);(1 2 3)", 3), ("(1 2)(3 4);(1 3)(2 4)", 4), ("(1 2 3 4 5)", 5)]:
         G = PermutationGroup.from_text(text, n)
-        again = PermutationGroup.from_generators(G.elements, n)
-        assert again.elements == G.elements
+        again = PermutationGroup.from_generators(elements(G), n)
+        assert elements(again) == elements(G)
 
 
 def test_closure_mixed_degrees_rejected():
@@ -225,7 +236,7 @@ def test_gorenstein_s2_char_two():
 def test_gorenstein_a3_char_five():
     # A_3 is even: independent parity check by counting inversions
     G = PermutationGroup.alternating(3)
-    for g in G.elements:
+    for g in elements(G):
         inversions = sum(
             1
             for i in range(1, 4)
@@ -280,10 +291,10 @@ def test_conjugation_invariance_of_branch_data():
 
 def test_alternating_matches_even_part_of_symmetric():
     for m in range(1, 8):
-        even = {g for g in PermutationGroup.symmetric(m).elements if g.is_even()}
-        assert PermutationGroup.alternating(m).elements == even
-    assert PermutationGroup.alternating(3, 5).elements == {
-        g for g in PermutationGroup.symmetric(3, 5).elements if g.is_even()
+        even = {g for g in elements(PermutationGroup.symmetric(m)) if g.is_even()}
+        assert elements(PermutationGroup.alternating(m)) == even
+    assert elements(PermutationGroup.alternating(3, 5)) == {
+        g for g in elements(PermutationGroup.symmetric(3, 5)) if g.is_even()
     }
 
 

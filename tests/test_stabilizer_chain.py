@@ -1,0 +1,207 @@
+"""The stabilizer chain behind PermutationGroup, checked against the BFS
+closure in helpers and, beyond its reach, against sympy."""
+
+import math
+import random
+
+import pytest
+
+from permsing import Permutation, PermutationGroup, group_from_name
+from permsing.perm import MAX_GROUP_ORDER
+
+from helpers import all_subgroups, elements, scan_nonfree_bound
+from test_group_invariants import GROUPS, relabellings
+
+
+def random_permutation(rng: random.Random, n: int) -> Permutation:
+    images = list(range(1, n + 1))
+    rng.shuffle(images)
+    return Permutation(images)
+
+
+def assert_matches_closure(G: PermutationGroup, probes) -> None:
+    group = elements(G)
+    assert G.order == len(group)
+    assert all(g in G for g in group)
+    for g in probes:
+        assert (g in G) == (g in group)
+
+
+def test_chain_matches_closure_on_all_subgroups_up_to_s5():
+    for n in range(1, 6):
+        everything = elements(PermutationGroup.symmetric(n))
+        for G in all_subgroups(n):
+            for s in relabellings(n, 4):
+                assert_matches_closure(G.conjugate_by(s), everything)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_chain_matches_closure_on_benchmark_groups(name):
+    n, text, order = GROUPS[name]
+    rng = random.Random(name)
+    for s in relabellings(n, 3):
+        G = PermutationGroup.from_text(text, n).conjugate_by(s)
+        assert G.order == order
+        assert_matches_closure(G, [random_permutation(rng, n) for _ in range(300)])
+
+
+def test_chain_matches_closure_on_s8_and_a8():
+    rng = random.Random(8)
+    probes = [random_permutation(rng, 8) for _ in range(300)]
+    for name in ("S8", "A8"):
+        assert_matches_closure(group_from_name(name, 8), probes)
+    A8 = group_from_name("A8", 8)
+    assert all((g in A8) == g.is_even() for g in probes)
+
+
+def test_membership_needs_the_same_degree():
+    G = PermutationGroup.symmetric(3, 4)
+    assert Permutation.identity(4) in G
+    assert Permutation.identity(3) not in G
+    assert "(1 2)" not in G
+
+
+# ---------------------------------------------------------------------------
+# beyond the closure: random two-generator groups at n = 9..12 against sympy
+
+
+def block_preserving(rng: random.Random, n: int, size: int) -> Permutation:
+    """A random element of S_size wr S_(n/size) on consecutive blocks."""
+    blocks = [list(range(start, start + size)) for start in range(1, n + 1, size)]
+    order = list(range(len(blocks)))
+    rng.shuffle(order)
+    images = [0] * n
+    for src, dst in zip(blocks, order):
+        target = blocks[dst][:]
+        rng.shuffle(target)
+        for a, b in zip(src, target):
+            images[a - 1] = b
+    return Permutation(images)
+
+
+def split_preserving(rng: random.Random, n: int, first: int) -> Permutation:
+    """A random element of S_first x S_(n - first)."""
+    left, right = list(range(1, first + 1)), list(range(first + 1, n + 1))
+    rng.shuffle(left)
+    rng.shuffle(right)
+    return Permutation(left + right)
+
+
+def random_pairs(rng: random.Random, n: int):
+    """Six pairs inside one block system or split (orders at most 86,400)
+    and two unconstrained pairs (mostly A_n or S_n, above the cap)."""
+    sizes = {9: (3,), 10: (2, 5), 11: (5,), 12: (2, 3, 4)}[n]
+    pairs = []
+    for _ in range(6):
+        size = rng.choice(sizes)
+        draw = split_preserving if n == 11 else block_preserving
+        pairs.append([draw(rng, n, size), draw(rng, n, size)])
+    pairs += [[random_permutation(rng, n), random_permutation(rng, n)] for _ in range(2)]
+    return pairs
+
+
+@pytest.mark.parametrize("n", range(9, 13))
+def test_chain_matches_sympy_on_random_pairs(n):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+
+    def sympy_perm(g: Permutation):
+        return combinatorics.Permutation([g(i) - 1 for i in range(1, n + 1)])
+
+    rng = random.Random(n)
+    accepted = rejected = 0
+    for gens in random_pairs(rng, n):
+        ref = combinatorics.PermutationGroup([sympy_perm(g) for g in gens])
+        if ref.order() > MAX_GROUP_ORDER:
+            with pytest.raises(ValueError, match=f"group order exceeds {MAX_GROUP_ORDER}"):
+                PermutationGroup.from_generators(gens, n)
+            rejected += 1
+            continue
+        G = PermutationGroup.from_generators(gens, n)
+        assert G.order == ref.order()
+        for _ in range(30):
+            word = Permutation.identity(n)
+            for _ in range(rng.randint(1, 12)):
+                word = word * rng.choice(gens)
+            assert word in G
+        for _ in range(60):
+            g = random_permutation(rng, n)
+            assert (g in G) == ref.contains(sympy_perm(g))
+        accepted += 1
+    assert accepted >= 4 and rejected >= 1
+
+
+def test_order_cap_rejects_exactly_the_groups_above_it():
+    assert PermutationGroup.alternating(9).order == 181_440 <= MAX_GROUP_ORDER
+    for text, n in [
+        ("(1 2);(1 2 3 4 5 6 7 8 9)", 9),
+        ("(1 2 3);(1 2 3 4 5 6 7 8 9 10 11)", 11),
+        ("(1 2);(" + " ".join(map(str, range(1, 65))) + ")", 64),
+    ]:
+        with pytest.raises(ValueError, match=f"group order exceeds {MAX_GROUP_ORDER}"):
+            PermutationGroup.from_text(text, n)
+    # C5^5 x C2^6 has order exactly 200,000
+    gens = [f"({5 * i + 1} {5 * i + 2} {5 * i + 3} {5 * i + 4} {5 * i + 5})" for i in range(5)]
+    gens += [f"({2 * i + 26} {2 * i + 27})" for i in range(6)]
+    assert PermutationGroup.from_text(";".join(gens), 37).order == MAX_GROUP_ORDER
+    # S8 x C5 has order 201,600
+    with pytest.raises(ValueError, match="exceeds"):
+        PermutationGroup.from_text("(1 2);(1 2 3 4 5 6 7 8);(9 10 11 12 13)", 13)
+    assert PermutationGroup.from_text("(1 2);(1 2 3 4 5 6 7 8);(9 10 11 12)", 12).order == (
+        math.factorial(8) * 4
+    )
+
+
+# ---------------------------------------------------------------------------
+# the non-free-locus bound: membership tests or an element walk
+
+NONFREE_CASES = {name: (n, lambda n=n, text=text: PermutationGroup.from_text(text, n))
+                 for name, (n, text, _) in GROUPS.items()}
+NONFREE_CASES.update({
+    "S8": (8, lambda: group_from_name("S8", 8)),
+    "A8": (8, lambda: group_from_name("A8", 8)),
+    "A7": (7, lambda: group_from_name("A7", 7)),
+    "cyclic:12@21": (21, lambda: group_from_name("cyclic:12", 21)),
+    "cyclic:3@14": (14, lambda: group_from_name("cyclic:3", 14)),
+    "klein4@21": (21, lambda: group_from_name("klein4", 21)),
+    "tt@21": (21, lambda: PermutationGroup.from_text("(1 2)(3 4)", 21)),
+    "ccc@23": (23, lambda: PermutationGroup.from_text("(1 2 3)(4 5 6)", 23)),
+    "t@24": (24, lambda: PermutationGroup.from_text("(1 2)", 24)),
+    "trivial@5": (5, lambda: group_from_name("trivial", 5)),
+    # the 3-cycles lie in the first level of the chain only
+    "C3xC5@8": (8, lambda: PermutationGroup.from_text("(1 2 3);(4 5 6 7 8)", 8)),
+})
+
+
+def not_taken(*args):
+    raise AssertionError("this path should not run")
+
+
+@pytest.mark.parametrize("name", NONFREE_CASES)
+def test_both_nonfree_paths_match_the_element_scan(name, monkeypatch):
+    n, build = NONFREE_CASES[name]
+    G = build()
+    expected = scan_nonfree_bound(G)
+    assert G.max_cycle_count() == expected
+    assert G._max_cycle_count_by_walk(n - 1) == expected
+    if expected is not None and expected >= n - 2:
+        # a swap, 3-cycle or double transposition is found without a walk
+        monkeypatch.setattr(PermutationGroup, "_max_cycle_count_by_walk", not_taken)
+    assert G._max_cycle_count_by_membership() == expected
+
+
+WALKED = [
+    "klein4@21", "cyclic:12@21", "cyclic:3@14", "tt@21", "ccc@23", "AGL(1,8)", "AGL(1,7)",
+    "C3xC5@8",
+]
+SIFTED = ["A7", "A8", "A4xA4", "S8", "t@24"]
+
+
+@pytest.mark.parametrize("name", WALKED + SIFTED)
+def test_nonfree_path_follows_order_against_candidates(name, monkeypatch):
+    G = NONFREE_CASES[name][1]()
+    expected = scan_nonfree_bound(G)
+    if name in WALKED:
+        monkeypatch.setattr(PermutationGroup, "_max_cycle_count_by_membership", not_taken)
+    else:
+        monkeypatch.setattr(PermutationGroup, "_max_cycle_count_by_walk", not_taken)
+    assert G.max_cycle_count() == expected
