@@ -27,7 +27,6 @@ from .halfint import NEG_INF, ExtHalf
 from .oracle import (
     ASQuotient,
     DimensionGrowthCheck,
-    PrincipalPart,
     as_class_count,
     discriminant_of_jump,
     tame_totally_ramified_count,
@@ -82,7 +81,6 @@ __all__ = [
     "PairStatus",
     "Permutation",
     "PermutationGroup",
-    "PrincipalPart",
     "StratumShape",
     "TraceEntry",
     "as_class_count",

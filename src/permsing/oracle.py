@@ -5,12 +5,20 @@ actually counting covers of the punctured formal disk over F_q((t)):
 
 * degree-p cyclic covers are counted through principal parts modulo the
   Artin-Schreier operator f -> f^p - f, with the quotient computed by exact
-  linear algebra over the prime field;
+  linear algebra over the prime field.  Both reductions of a part, the
+  canonical coset representative and the coprime-support representative,
+  are F_p-linear, so each is applied once per coordinate unit vector.  Every
+  principal part is then visited as an F_p-vector packed into one int (a
+  bitmask added by XOR for p = 2, three bits per digit for p = 3), in
+  Gray-code order so that each part costs one add of a unit image, and the
+  distinct representatives are collected in a set of ints;
 * tame totally ramified extensions are counted by enumerating radicals of
   Eisenstein binomials x^n - u*t in an explicit splitting field and
-  identifying conjugate generators.
+  identifying conjugate generators; each power is one log-table lookup in
+  the field (see gf.py).
 
-Everything is capped at desk scale (q <= 81, pole orders <= 9); larger
+Everything is capped at desk scale (q <= 81, pole orders <= 9, at most
+4 * 10^6 principal parts, splitting fields of at most 10^5 elements); larger
 parameters raise instead of silently running long.
 """
 
@@ -18,10 +26,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
-from .gf import GF, Elem
+from .gf import GF
 from .halfint import NEG_INF, ExtHalf
 from .primes import factor_prime_power
 from .strata import dim_connected, dim_cyclic_cubic_galois
@@ -32,63 +41,27 @@ MAX_ENUMERATION = 4_000_000
 MAX_SPLITTING_FIELD = 100_000
 
 
-class PrincipalPart:
-    """A truncated Laurent principal part sum_i c_i t^(-i) over F_q."""
+def _gray_sums(p: int, images: list[int], x: int, add) -> Iterator[int]:
+    """x plus each of the p^len(images) F_p-combinations of images, one add each.
 
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: GF, coeffs: dict[int, Elem]):
-        for i in coeffs:
-            if i < 1:
-                raise ValueError(f"pole orders must be >= 1, got {i}")
-        self.field = field
-        self.coeffs = {i: c for i, c in coeffs.items() if c != field.zero}
-
-    @property
-    def p(self) -> int:
-        return self.field.p
-
-    @property
-    def q(self) -> int:
-        return self.field.q
-
-    def pole_order(self) -> int:
-        """Exact pole order; 0 for the zero part."""
-        return max(self.coeffs, default=0)
-
-    def __add__(self, other: "PrincipalPart") -> "PrincipalPart":
-        if other.field is not self.field:
-            raise ValueError("mismatched fields")
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = self.field.add(out.get(i, self.field.zero), c)
-        return PrincipalPart(self.field, out)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PrincipalPart)
-            and self.field is other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def artin_schreier_image(self) -> "PrincipalPart":
-        """The principal part of f^p - f.
-
-        f has only negative-order terms, so f^p - f is again a pure principal
-        part: the Frobenius sends c t^(-i) to c^p t^(-pi) term by term.
-        """
-        F = self.field
-        out: dict[int, Elem] = {}
-        for i, c in self.coeffs.items():
-            j = self.p * i
-            out[j] = F.add(out.get(j, F.zero), F.frobenius(c))
-        for i, c in self.coeffs.items():
-            out[i] = F.sub(out.get(i, F.zero), c)
-        return PrincipalPart(F, out)
-
-    def __repr__(self) -> str:
-        terms = ", ".join(f"t^-{i}: {c}" for i, c in sorted(self.coeffs.items()))
-        return f"PrincipalPart(q={self.q}, {{{terms}}})"
+    Step k of the modular p-ary Gray code adds images[v_p(k)]: digit j has then
+    been raised k_j - k_(j+1) times modulo p, which is a bijection of the
+    base-p digits of k, so every combination comes once.  The steps over the
+    first 8 digits are listed once and replayed from each combination of the
+    others, so the inner loop runs in C.
+    """
+    inner, outer = images[:8], images[8:]
+    steps = []
+    for k in range(1, p ** len(inner)):
+        j = 0
+        while k % p == 0:
+            k //= p
+            j += 1
+        steps.append(inner[j])
+    starts = _gray_sums(p, outer, x, add) if outer else (x,)
+    return itertools.chain.from_iterable(
+        itertools.accumulate(steps, add, initial=y) for y in starts
+    )
 
 
 class ASQuotient:
@@ -121,21 +94,20 @@ class ASQuotient:
         self._domain_max = -(-max_pole // p)  # ceil
         self._ambient_max = p * self._domain_max
         self._dim = self._ambient_max * e
+        self._width = 1 if p == 2 else 3
         self._pivots = self._echelonize_image()
 
     # vector layout: coordinate (i - 1) * e + k holds the k-th prime-field
-    # coordinate of the coefficient at pole order i
+    # coordinate of the coefficient at pole order i.  Packed into one int,
+    # coordinate j sits at bit j for p = 2 and in bits 3j..3j+2 for p = 3.
 
     def _unit_vector_image(self, i: int, k: int) -> list[int]:
-        F = self.field
-        basis_elem = tuple(1 if j == k else 0 for j in range(self._e))
+        F, e = self.field, self._e
         vec = [0] * self._dim
-        frob = F.frobenius(basis_elem)
-        for j, x in enumerate(frob):
-            vec[(self.p * i - 1) * self._e + j] = x
-        for j, x in enumerate(basis_elem):
-            idx = (i - 1) * self._e + j
-            vec[idx] = (vec[idx] - x) % self.p
+        for j, x in enumerate(F.coordinates(F.frobenius(self.p**k))):
+            vec[(self.p * i - 1) * e + j] = x
+        idx = (i - 1) * e + k
+        vec[idx] = (vec[idx] - 1) % self.p
         return vec
 
     def _echelonize_image(self) -> list[tuple[int, list[int]]]:
@@ -171,87 +143,68 @@ class ASQuotient:
                 vec = [(x - c * y) % p for x, y in zip(vec, row)]
         return vec
 
-    def canonical(self, vec: list[int]) -> tuple[int, ...]:
+    def canonical(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Unique coset representative modulo the Artin-Schreier image."""
         return tuple(self._reduce(vec, self._pivots))
 
-    def to_vector(self, part: PrincipalPart) -> list[int]:
-        if part.pole_order() > self._ambient_max:
-            raise ValueError("pole order exceeds the ambient truncation")
-        vec = [0] * self._dim
-        for i, c in part.coeffs.items():
-            for k, x in enumerate(c):
-                vec[(i - 1) * self._e + k] = x
-        return vec
-
-    def to_part(self, vec) -> PrincipalPart:
-        coeffs = {}
-        for i in range(1, self._ambient_max + 1):
-            c = tuple(vec[(i - 1) * self._e : i * self._e])
-            if any(c):
-                coeffs[i] = c
-        return PrincipalPart(self.field, coeffs)
-
-    @property
-    def basis(self) -> list[PrincipalPart]:
-        """Reduced representatives: one basis part per coprime pole order and
-        prime-field coordinate, up to max_pole."""
-        out = []
-        for i in range(1, self.max_pole + 1):
-            if i % self.p == 0:
-                continue
-            for k in range(self._e):
-                elem = tuple(1 if j == k else 0 for j in range(self._e))
-                out.append(PrincipalPart(self.field, {i: elem}))
-        return out
-
-    def reduced_representative(self, part: PrincipalPart) -> PrincipalPart:
+    def reduced_representative(self, vec: Sequence[int]) -> tuple[int, ...]:
         """The representative supported on pole orders coprime to p.
 
         A term c t^(-pm) is congruent to c^(1/p) t^(-m) modulo the operator;
         stripping top-down terminates with the unique coprime-support
         representative, whose pole order is the ramification jump of the class.
         """
-        F = self.field
-        coeffs = dict(part.coeffs)
-        order = max(coeffs, default=0)
-        while order:
-            c = coeffs.get(order)
-            if c is None or c == F.zero:
-                coeffs.pop(order, None)
-            elif order % self.p == 0:
-                root = F.pow(c, F.q // self.p)  # Frobenius inverse: c^(q/p)
-                below = order // self.p
-                coeffs[below] = F.add(coeffs.get(below, F.zero), root)
-                del coeffs[order]
-            order -= 1
-        return PrincipalPart(F, coeffs)
+        F, p, e = self.field, self.p, self._e
+        vec = list(vec)
+        for order in range(self._ambient_max, 0, -p):
+            top = slice((order - 1) * e, order * e)
+            c = F.element(vec[top])
+            if c:
+                below = (order // p - 1) * e
+                root = F.pow(c, F.q // p)  # Frobenius inverse: c^(q/p)
+                for k, x in enumerate(F.coordinates(root)):
+                    vec[below + k] = (vec[below + k] + x) % p
+                vec[top] = [0] * e
+        return tuple(vec)
 
-    def _enumerate_vectors(self, top: int) -> Iterator[tuple[tuple, list[int]]]:
-        """All principal parts with pole order <= top, as vectors."""
+    def _parts(self, reduce, top: int) -> Iterator[Iterator[int]]:
+        """reduce of every principal part of pole order <= top, packed.
+
+        reduce is F_p-linear, so it is applied once per coordinate unit vector
+        and each part costs one add of a packed unit image, in Gray-code order.
+        The q^top parts come as q streams of q^(top-1), one per coefficient of
+        t^(-top), the coefficient zero first.  No part is kept.
+        """
         if self.q**top > MAX_ENUMERATION:
             raise ValueError(
                 f"enumerating q^jump = {self.q}^{top} principal parts is beyond desk scale"
             )
-        elems = list(self.field.elements())
-        for combo in itertools.product(elems, repeat=top):
-            vec = [0] * self._dim
-            for i, c in enumerate(combo, start=1):
-                for k, x in enumerate(c):
-                    vec[(i - 1) * self._e + k] = x
-            yield combo, vec
+        p, e, width = self.p, self._e, self._width
+        images = []
+        for j in range(top * e):
+            unit = [0] * self._dim
+            unit[j] = 1
+            images.append(sum(x << width * i for i, x in enumerate(reduce(unit))))
+        if p == 2:
+            add = operator.xor
+        else:
+            ones = sum(1 << 3 * i for i in range(self._dim))
+            fours = ones << 2
+
+            def add(a: int, b: int) -> int:
+                s = a + b  # digits 0..4; take 3 off each digit that reached 3
+                return s - 3 * (((s + ones) & fours) >> 2)
+
+        lower, upper = images[:-e], images[-e:]
+        return (_gray_sums(p, lower, start, add) for start in _gray_sums(p, upper, 0, add))
 
     def count_classes_exact_pole(self, jump: int) -> int:
         """Classes represented by a principal part of exact pole order jump."""
         if not 1 <= jump <= self.max_pole:
             raise ValueError(f"jump must be in 1..{self.max_pole}")
-        zero = self.field.zero
-        reps = set()
-        for combo, vec in self._enumerate_vectors(jump):
-            if combo[jump - 1] == zero:
-                continue
-            reps.add(self.canonical(vec))
-        return len(reps)
+        streams = self._parts(self.canonical, jump)
+        next(streams)  # a zero coefficient of t^(-jump): the pole order is lower
+        return len(set(itertools.chain.from_iterable(streams)))
 
     def count_classes_reduced_order(self, jump: int) -> int:
         """Classes whose coprime-support representative has pole order jump.
@@ -261,12 +214,9 @@ class ASQuotient:
         """
         if not 1 <= jump <= self.max_pole:
             raise ValueError(f"jump must be in 1..{self.max_pole}")
-        reps = set()
-        for _, vec in self._enumerate_vectors(jump):
-            red = self.reduced_representative(self.to_part(vec))
-            if red.pole_order() == jump:
-                reps.add(tuple(sorted(red.coeffs.items())))
-        return len(reps)
+        floor = 1 << self._width * (jump - 1) * self._e  # the jump block starts here
+        parts = itertools.chain.from_iterable(self._parts(self.reduced_representative, jump))
+        return len({v for v in parts if v >= floor})
 
 
 def as_class_count(p: int, q: int, jump: int) -> int:
@@ -338,17 +288,16 @@ def verify_dimension_growth(
         predicted = dim_cyclic_cubic_galois(d)
     else:
         raise ValueError(f"unsupported (p, n) = ({p}, {n})")
-    counts = []
-    measured = []
-    for q in qs:
+    by_q = {}
+    for q in dict.fromkeys(qs):  # each distinct q once, in order of first use
         if predicted.is_finite:
-            count = as_class_count(p, q, jump)
+            by_q[q] = as_class_count(p, q, jump)
         elif jump >= 1:
-            count = ASQuotient(p, q, jump).count_classes_reduced_order(jump)
+            by_q[q] = ASQuotient(p, q, jump).count_classes_reduced_order(jump)
         else:
-            count = 0
-        counts.append(count)
-        measured.append(_infer_dimension(count, q))
+            by_q[q] = 0
+    counts = [by_q[q] for q in qs]
+    measured = [_infer_dimension(count, q) for q, count in zip(qs, counts)]
     ok = all(m == predicted for m in measured)
     return DimensionGrowthCheck(
         predicted=predicted,

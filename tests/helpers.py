@@ -11,7 +11,9 @@ import itertools
 from fractions import Fraction
 
 from permsing import (
+    GF,
     NEG_INF,
+    ASQuotient,
     GlobalSup,
     Permutation,
     PermutationGroup,
@@ -253,3 +255,186 @@ def scan_nonfree_bound(G: PermutationGroup):
     """Largest cycle count over non-identity elements; None for trivial G."""
     counts = [g.cycle_count() for g in elements(G) if not g.is_identity()]
     return max(counts) if counts else None
+
+
+# ---------------------------------------------------------------------------
+# finite-field arithmetic on coordinate tuples by the schoolbook product (the
+# library multiplies through log tables)
+
+def as_tuple(F, a: int) -> tuple[int, ...]:
+    """The coordinates of a field element, lowest power of x first."""
+    return tuple((a // F.p**k) % F.p for k in range(F.e))
+
+
+def from_tuple(F, coords) -> int:
+    return sum(x * F.p**k for k, x in enumerate(coords))
+
+
+def schoolbook_mul(F, a: tuple, b: tuple) -> tuple:
+    p, e = F.p, F.e
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] = (prod[i + j] + x * y) % p
+    # reduce modulo the defining polynomial
+    mod = F.modulus
+    for k in range(len(prod) - 1, e - 1, -1):
+        c = prod[k]
+        if c:
+            prod[k] = 0
+            for i in range(e):
+                prod[k - e + i] = (prod[k - e + i] - c * mod[i]) % p
+    return tuple(prod[:e])
+
+
+def schoolbook_pow(F, a: tuple, k: int) -> tuple:
+    result = (1,) + (0,) * (F.e - 1)
+    base = a
+    while k:
+        if k & 1:
+            result = schoolbook_mul(F, result, base)
+        base = schoolbook_mul(F, base, base)
+        k >>= 1
+    return result
+
+
+def reference_tame_count(q: int, n: int) -> int:
+    """#{beta in F_Q^* : beta^n in F_q^*} / (q - 1) by schoolbook powers of
+    every coordinate tuple of the splitting field F_Q."""
+    p = next(f for f in range(2, q + 1) if q % f == 0)
+    e = 1
+    while p**e < q:
+        e += 1
+    big = next(k for k in range(1, 64) if (q**k - 1) % (n * (q - 1)) == 0)
+    F = GF(p, e * big)
+    zero = (0,) * F.e
+    tuples = list(itertools.product(range(p), repeat=F.e))
+    constants = {x for x in tuples if x != zero and schoolbook_pow(F, x, q) == x}
+    assert len(constants) == q - 1
+    hits = sum(1 for b in tuples if b != zero and schoolbook_pow(F, b, n) in constants)
+    assert hits % (q - 1) == 0
+    return hits // (q - 1)
+
+
+# ---------------------------------------------------------------------------
+# Artin-Schreier principal parts as coefficient dictionaries, and the class
+# counts by reducing one list vector per principal part (the library packs
+# vectors into ints and reduces only unit vectors)
+
+class PrincipalPart:
+    """A truncated Laurent principal part sum_i c_i t^(-i) over F_q."""
+
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field, coeffs: dict[int, int]):
+        for i in coeffs:
+            if i < 1:
+                raise ValueError(f"pole orders must be >= 1, got {i}")
+        self.field = field
+        self.coeffs = {i: c for i, c in coeffs.items() if c != field.zero}
+
+    def pole_order(self) -> int:
+        """Exact pole order; 0 for the zero part."""
+        return max(self.coeffs, default=0)
+
+    def __add__(self, other: "PrincipalPart") -> "PrincipalPart":
+        if other.field is not self.field:
+            raise ValueError("mismatched fields")
+        out = dict(self.coeffs)
+        for i, c in other.coeffs.items():
+            out[i] = self.field.add(out.get(i, self.field.zero), c)
+        return PrincipalPart(self.field, out)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, PrincipalPart)
+            and self.field is other.field
+            and self.coeffs == other.coeffs
+        )
+
+    def artin_schreier_image(self) -> "PrincipalPart":
+        """The principal part of f^p - f.
+
+        f has only negative-order terms, so f^p - f is again a pure principal
+        part: the Frobenius sends c t^(-i) to c^p t^(-pi) term by term.
+        """
+        F = self.field
+        out: dict[int, int] = {}
+        for i, c in self.coeffs.items():
+            j = F.p * i
+            out[j] = F.add(out.get(j, F.zero), F.frobenius(c))
+        for i, c in self.coeffs.items():
+            out[i] = F.sub(out.get(i, F.zero), c)
+        return PrincipalPart(F, out)
+
+    def __repr__(self) -> str:
+        terms = ", ".join(f"t^-{i}: {c}" for i, c in sorted(self.coeffs.items()))
+        return f"PrincipalPart(q={self.field.q}, {{{terms}}})"
+
+
+# vector layout of ASQuotient: coordinate (i - 1) * e + k holds the k-th
+# prime-field coordinate of the coefficient at pole order i, for pole orders
+# up to p * ceil(max_pole / p)
+
+def _zero_vector(space: ASQuotient) -> list[int]:
+    return [0] * (space.p * -(-space.max_pole // space.p) * space.field.e)
+
+
+def to_vector(space: ASQuotient, part: PrincipalPart) -> list[int]:
+    e = space.field.e
+    vec = _zero_vector(space)
+    if part.pole_order() * e > len(vec):
+        raise ValueError("pole order exceeds the ambient truncation")
+    for i, c in part.coeffs.items():
+        vec[(i - 1) * e : i * e] = as_tuple(space.field, c)
+    return vec
+
+
+def to_part(space: ASQuotient, vec) -> PrincipalPart:
+    F = space.field
+    coeffs = {}
+    for i in range(1, len(vec) // F.e + 1):
+        c = vec[(i - 1) * F.e : i * F.e]
+        if any(c):
+            coeffs[i] = from_tuple(F, c)
+    return PrincipalPart(F, coeffs)
+
+
+def basis(space: ASQuotient) -> list[PrincipalPart]:
+    """Reduced representatives: one basis part per coprime pole order and
+    prime-field coordinate, up to max_pole."""
+    F = space.field
+    return [
+        PrincipalPart(F, {i: F.p**k})
+        for i in range(1, space.max_pole + 1)
+        if i % space.p
+        for k in range(F.e)
+    ]
+
+
+def enumerate_vectors(space: ASQuotient, top: int):
+    """All principal parts with pole order <= top, as (coefficients, vector)."""
+    F = space.field
+    for combo in itertools.product(F.elements(), repeat=top):
+        vec = _zero_vector(space)
+        for i, c in enumerate(combo, start=1):
+            vec[(i - 1) * F.e : i * F.e] = as_tuple(F, c)
+        yield combo, vec
+
+
+def reference_count_exact_pole(space: ASQuotient, jump: int) -> int:
+    reps = set()
+    for combo, vec in enumerate_vectors(space, jump):
+        if combo[jump - 1] != space.field.zero:
+            reps.add(space.canonical(vec))
+    return len(reps)
+
+
+def reference_count_reduced_order(space: ASQuotient, jump: int) -> int:
+    reps = set()
+    for _, vec in enumerate_vectors(space, jump):
+        red = to_part(space, space.reduced_representative(vec))
+        if red.pole_order() == jump:
+            reps.add(tuple(sorted(red.coeffs.items())))
+    return len(reps)

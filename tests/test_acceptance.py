@@ -218,3 +218,11 @@ def test_criterion_12_stabilizer_chain_groups_at_large_degree():
         argv = ["classify", "--n", "64", "--p", "2", "--group", "(1 2);" + long_cycle]
         assert cli.run(argv, out=io.StringIO(), err=err) == 2
         assert "group order exceeds 200000" in err.getvalue()
+
+
+def test_criterion_14_oracles_at_their_caps():
+    # criterion 13 is reserved for the mass-formula check of dim_connected
+    with criterion(14, "AS count at q^jump = 8^7, tame count over 17^4 elements, verify 4^8", 3.0):
+        assert as_class_count(2, 8, 7) == 3584
+        assert tame_totally_ramified_count(17, 5) == 5
+        assert verify_dimension_growth(2, 2, 9, [4]).counts == (0,)

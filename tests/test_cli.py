@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 from fractions import Fraction
 from importlib import resources
 
@@ -286,6 +287,25 @@ def test_bad_oracle_q_list_exits_2():
     assert code == 2
     code, _, _ = run_cli(["oracle", "verify", "--p", "2", "--n", "2", "--d", "4", "--q", ""])
     assert code == 2
+
+
+def test_oracle_verify_counts_each_distinct_q_once(monkeypatch):
+    calls = []
+    count = oracle.as_class_count
+
+    def counted(p, q, jump):
+        calls.append(q)
+        return count(p, q, jump)
+
+    monkeypatch.setattr(oracle, "as_class_count", counted)
+    argv = ["oracle", "verify", "--p", "2", "--n", "2", "--d", "6", "--q"]
+    start = time.perf_counter()
+    code, out, _ = run_cli(argv + [",".join(["8", "2"] * 500)])
+    elapsed = time.perf_counter() - start
+    assert code == 0 and calls == [8, 2]
+    assert out.splitlines()[1:3] == ["q=8: count=448 measured=3", "q=2: count=4 measured=3"]
+    assert len(out.splitlines()) == 1002
+    assert elapsed < 2.0
 
 
 def test_oracle_beyond_desk_scale_exits_2():
