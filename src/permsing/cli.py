@@ -37,7 +37,7 @@ from .strata import (
 )
 
 MAX_SUP_N = 100_000  # worst_partition has about n entries
-MAX_DEGREE = 64  # classify --n: the slowest element walk at n = 64 takes about 2 s
+MAX_DEGREE = 64  # classify --n: the slowest known element walk at n = 64 takes 0.6 s
 MAX_STRATA_SIZE = 32  # strata --n + --d: the shape count grows exponentially
 MAX_TABLE_CELLS = 100_000  # table --max-n * (--max-d + 1)
 

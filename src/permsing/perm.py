@@ -1,18 +1,20 @@
 """Permutations, permutation groups, and branch-divisor data.
 
-A group G acting on affine n-space by permuting coordinates is stored as its
-generators and a stabilizer chain: a base and strong generating set built by
-deterministic Schreier-Sims, with one transversal per level.  The order is the
-product of the transversal lengths and membership is a sift down the chain; no
-element set is kept.  The build stops as soon as |G| is known to exceed
-MAX_GROUP_ORDER (2*10^5).  The pseudo-reflections of such an action are
+There is one permutation format, the 0-based image tuple g(i) = images[i]:
+`Permutation` wraps one and shifts points by one only in its 1-based public
+view.  A group G acting on affine n-space by permuting coordinates is stored
+as its generators and a stabilizer chain: a base and strong generating set
+built by deterministic Schreier-Sims, with one transversal per level.  The
+order is the product of the transversal lengths and membership is a sift down
+the chain; no element set is kept.  The build stops as soon as |G| is known to
+exceed MAX_GROUP_ORDER (2*10^5).  The pseudo-reflections of such an action are
 exactly the transpositions, and the branch divisor has one component per
 conjugation orbit of them.  Evenness is read from the generators; the
 transpositions are the swaps within a generator orbit that pass a membership
 test, and their orbits are orbits of point pairs under the generators.  The
 non-free-locus bound tests the swaps, 3-cycles and double transpositions by
-membership too, and walks the elements only when that is cheaper or none of
-them is in G.
+membership too, and walks the elements only when that is cheaper, none of them
+is in G, or |G| is prime to 6, so that G holds none of them.
 """
 
 from __future__ import annotations
@@ -35,9 +37,15 @@ class CycleParseError(ValueError):
 
 
 class Permutation:
-    """An element of S_n, stored by its image tuple (1-based)."""
+    """An element of S_n.
 
-    __slots__ = ("images",)
+    It holds the 0-based image tuple the stabilizer chain works on, with
+    g(i) = _images[i]; the product, inverse and cycle count are the chain's
+    own.  Only the public view is 1-based: the constructor, `images`, g(i)
+    and `cycles` shift by one.
+    """
+
+    __slots__ = ("_images",)
 
     def __init__(self, images: Iterable[int]):
         images = tuple(images)
@@ -46,92 +54,85 @@ class Permutation:
             raise ValueError("degree must be positive")
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {images}")
-        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "_images", tuple([x - 1 for x in images]))
 
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
+
+    @classmethod
+    def _valid(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap a 0-based image tuple known to be a permutation, unchecked."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "_images", images)
+        return g
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(range(1, n + 1))
 
     @property
+    def images(self) -> tuple[int, ...]:
+        """The image tuple, 1-based: images[i - 1] = g(i)."""
+        return tuple([x + 1 for x in self._images])
+
+    @property
     def n(self) -> int:
-        return len(self.images)
+        return len(self._images)
 
     def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    @classmethod
-    def _valid(cls, images: tuple[int, ...]) -> "Permutation":
-        """Wrap an image tuple known to be a permutation (a product or an
-        inverse of permutations), skipping the check in __init__."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "images", images)
-        return g
+        return self._images[i - 1] + 1
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition: (self * other)(i) = self(other(i))."""
         if self.n != other.n:
             raise ValueError("mixed degrees")
-        images = self.images
-        return Permutation._valid(tuple([images[j - 1] for j in other.images]))
+        return Permutation._valid(_compose(self._images, other._images))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, j in enumerate(self.images, start=1):
-            inv[j - 1] = i
-        return Permutation._valid(tuple(inv))
+        return Permutation._valid(_inverse(self._images))
 
     def conjugate_by(self, s: "Permutation") -> "Permutation":
         """s * self * s^-1."""
         return s * self * s.inverse()
 
     def is_identity(self) -> bool:
-        return all(j == i for i, j in enumerate(self.images, start=1))
+        return self._images == tuple(range(self.n))
 
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Disjoint cycles, each starting at its minimum, sorted by minimum."""
-        seen = [False] * self.n
-        out = []
-        for start in range(1, self.n + 1):
-            if seen[start - 1]:
-                continue
-            cyc = [start]
-            seen[start - 1] = True
-            j = self(start)
-            while j != start:
-                cyc.append(j)
-                seen[j - 1] = True
-                j = self(j)
-            if include_fixed or len(cyc) > 1:
-                out.append(tuple(cyc))
+        g, seen, out = self._images, set(), []
+        for start in range(len(g)):
+            if start not in seen:
+                cyc = [start]
+                while g[cyc[-1]] != start:
+                    cyc.append(g[cyc[-1]])
+                seen.update(cyc)
+                if include_fixed or len(cyc) > 1:
+                    out.append(tuple([x + 1 for x in cyc]))
         return out
 
     def cycle_count(self) -> int:
         """Number of orbits on {1..n}, fixed points included."""
-        return len(self.cycles(include_fixed=True))
+        return _cycle_count(self._images)
 
     def is_transposition(self) -> bool:
-        moved = [i for i in range(1, self.n + 1) if self(i) != i]
-        return len(moved) == 2
+        return _cycle_count(self._images) == self.n - 1
 
     def is_even(self) -> bool:
-        swaps = sum(len(c) - 1 for c in self.cycles())
-        return swaps % 2 == 0
+        return (self.n - _cycle_count(self._images)) % 2 == 0
 
     def cycle_string(self) -> str:
         """Cycle notation; the identity renders as the empty string."""
         return "".join("(" + " ".join(map(str, c)) + ")" for c in self.cycles())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
+        return isinstance(other, Permutation) and self._images == other._images
 
     def __lt__(self, other: "Permutation") -> bool:
-        return self.images < other.images
+        return self._images < other._images
 
     def __hash__(self) -> int:
-        return hash(self.images)
+        return hash(self._images)
 
     def __repr__(self) -> str:
         return f"Permutation({self.cycle_string() or 'id'}, n={self.n})"
@@ -149,7 +150,7 @@ def parse_permutation(text: str, n: int) -> Permutation:
     """
     if n < 1:
         raise CycleParseError("degree must be positive")
-    images = list(range(1, n + 1))
+    cycles = []
     seen: set[int] = set()
     pos = 0
     text_len = len(text)
@@ -167,10 +168,9 @@ def parse_permutation(text: str, n: int) -> Permutation:
             if e in seen:
                 raise CycleParseError(f"repeated entry {e}")
             seen.add(e)
-        for a, b in zip(entries, entries[1:] + entries[:1]):
-            images[a - 1] = b
+        cycles.append([e - 1 for e in entries])
         pos = m.end()
-    return Permutation(images)
+    return Permutation._valid(_cycle_images(n, cycles))
 
 
 def parse_generators(text: str, n: int) -> list[Permutation]:
@@ -178,14 +178,11 @@ def parse_generators(text: str, n: int) -> list[Permutation]:
     return [parse_permutation(part, n) for part in text.split(";")]
 
 
-def _embedded_degree(m: int, n: Optional[int], order: int) -> int:
-    """The ambient degree n (default m) of a preset on m points, checked
-    before any element is built."""
+def _embedded_degree(m: int, n: Optional[int], name: str = "m") -> int:
+    """The ambient degree n (default m) of a preset on m points."""
     n = m if n is None else n
     if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    if order > MAX_GROUP_ORDER:
-        raise ValueError(f"group order exceeds {MAX_GROUP_ORDER}")
+        raise ValueError(f"need 1 <= {name} <= n, got {name}={m}, n={n}")
     return n
 
 
@@ -200,13 +197,7 @@ class PermutationGroup:
 
     __slots__ = ("n", "generators", "_base", "_transversals")
 
-    def __init__(
-        self,
-        n: int,
-        generators: tuple[Permutation, ...],
-        base: tuple[int, ...],
-        transversals: tuple[dict, ...],
-    ):
+    def __init__(self, n: int, generators: tuple, base: tuple, transversals: tuple):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "_base", base)
@@ -216,15 +207,13 @@ class PermutationGroup:
         raise AttributeError("PermutationGroup is immutable")
 
     @classmethod
-    def from_generators(
-        cls, generators: Iterable[Permutation], n: int
-    ) -> "PermutationGroup":
+    def from_generators(cls, generators: Iterable[Permutation], n: int) -> "PermutationGroup":
         """Smallest subgroup of S_n containing the generators (Schreier-Sims)."""
         gens = tuple(generators)
         for g in gens:
             if g.n != n:
                 raise ValueError(f"mixed degrees: generator of degree {g.n} in S_{n}")
-        base, transversals = _schreier_sims([_zero_based(g) for g in gens], n)
+        base, transversals = _schreier_sims([g._images for g in gens], n)
         return cls(n, gens, tuple(base), tuple(transversals))
 
     @classmethod
@@ -236,59 +225,47 @@ class PermutationGroup:
         return cls.from_generators([], n)
 
     @classmethod
+    def _from_cycles(cls, n: int, generators: list[list[tuple[int, ...]]]) -> "PermutationGroup":
+        """The group generated by products of disjoint cycles of 0-based points."""
+        return cls.from_generators(
+            [Permutation._valid(_cycle_images(n, cycles)) for cycles in generators], n
+        )
+
+    @classmethod
     def symmetric(cls, m: int, n: Optional[int] = None) -> "PermutationGroup":
         """S_m embedded in S_n (fixing m+1..n), closed from (1 2) and (1 2 ... m)."""
-        n = _embedded_degree(m, n, math.factorial(m))
-        gens: list[Permutation] = []
-        if m >= 2:
-            gens.append(parse_permutation("(1 2)", n))
-        if m >= 3:
-            gens.append(
-                parse_permutation("(" + " ".join(map(str, range(1, m + 1))) + ")", n)
-            )
-        return cls.from_generators(gens, n)
+        n = _embedded_degree(m, n)
+        return cls._from_cycles(n, [[(0, 1)], [tuple(range(m))]][: max(m - 1, 0)])
 
     @classmethod
     def alternating(cls, m: int, n: Optional[int] = None) -> "PermutationGroup":
         """A_m embedded in S_n, closed from its standard generators."""
-        n = _embedded_degree(m, n, math.factorial(m) // 2)
-        gens: list[Permutation] = []
-        if m >= 3:
-            gens.append(parse_permutation("(1 2 3)", n))
-        if m >= 4:
-            # (1 2 ... m) is even iff m is odd; otherwise use the (m-1)-cycle.
-            lo = 1 if m % 2 == 1 else 2
-            gens.append(
-                parse_permutation("(" + " ".join(map(str, range(lo, m + 1))) + ")", n)
-            )
-        return cls.from_generators(gens, n)
+        n = _embedded_degree(m, n)
+        # (1 2 ... m) is even iff m is odd; otherwise use the (m-1)-cycle.
+        lo = 0 if m % 2 == 1 else 1
+        return cls._from_cycles(n, [[(0, 1, 2)], [tuple(range(lo, m))]][: max(m - 2, 0)])
 
     @classmethod
     def cyclic(cls, k: int, n: Optional[int] = None) -> "PermutationGroup":
         """The cyclic group generated by the k-cycle (1 2 ... k) in S_n."""
-        n = k if n is None else n
-        if not 1 <= k <= n:
-            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        n = _embedded_degree(k, n, "k")
         if k == 1:
             return cls.trivial(n)
-        gen = parse_permutation("(" + " ".join(map(str, range(1, k + 1))) + ")", n)
-        return cls.from_generators([gen], n)
+        return cls._from_cycles(n, [[tuple(range(k))]])
 
     @classmethod
     def klein_four(cls, n: int = 4) -> "PermutationGroup":
         """The Klein four group <(1 2)(3 4), (1 3)(2 4)> in S_n, n >= 4."""
         if n < 4:
             raise ValueError("klein4 needs n >= 4")
-        return cls.from_generators(
-            [parse_permutation("(1 2)(3 4)", n), parse_permutation("(1 3)(2 4)", n)], n
-        )
+        return cls._from_cycles(n, [[(0, 1), (2, 3)], [(0, 2), (1, 3)]])
 
     @property
     def order(self) -> int:
         return math.prod(len(t) for t in self._transversals)
 
     def __contains__(self, g: Permutation) -> bool:
-        return isinstance(g, Permutation) and g.n == self.n and self._sifts(_zero_based(g))
+        return isinstance(g, Permutation) and g.n == self.n and self._sifts(g._images)
 
     def _sifts(self, h: tuple[int, ...]) -> bool:
         """Whether the 0-based image tuple h sifts to the identity."""
@@ -311,7 +288,7 @@ class PermutationGroup:
             for orbit in self._point_orbits()
             for pair in itertools.combinations(orbit, 2)
         )
-        return sorted(Permutation(x + 1 for x in t) for t in swaps if self._sifts(t))
+        return sorted(Permutation._valid(t) for t in swaps if self._sifts(t))
 
     def all_even(self) -> bool:
         """G is even exactly when its generators are."""
@@ -321,13 +298,19 @@ class PermutationGroup:
         """The largest cycle count (fixed points included) of a non-identity
         element; None for the trivial group.
 
-        The count is n - 1 exactly for transpositions and n - 2 exactly for
-        3-cycles and double transpositions, and the points a cycle of an
-        element of G joins lie in one generator orbit.  So those candidates
-        are tested by membership in that order, and the elements are walked
-        only when none is in G, or when |G| is not larger than the number of
-        candidates.
+        A power of an element has at least as many cycles, so the count is
+        reached at an element of prime order r, with n - k(r - 1) cycles for
+        its k r-cycles.  If the least prime r dividing |G| is at least 5, the
+        elements are walked up to the ceiling n - (r - 1) at once.  Otherwise
+        the count is n - 1 exactly for transpositions and n - 2 exactly for
+        3-cycles and double transpositions, whose points lie in one generator
+        orbit.  Those are tested by membership in that order, and the walk
+        runs only when none is in G or |G| is not larger than their number.
         """
+        order = self.order
+        r = next((q for q in range(2, math.isqrt(order) + 1) if order % q == 0), order)
+        if r >= 5:
+            return self._max_cycle_count_by_walk(self.n - (r - 1))
         sizes = [len(o) for o in self._point_orbits()]
         swaps = sum(math.comb(m, 2) for m in sizes)
         candidates = (
@@ -337,7 +320,7 @@ class PermutationGroup:
             + math.comb(swaps, 2)
             - sum(m * math.comb(m - 1, 2) for m in sizes)
         )
-        if self.order <= candidates:
+        if order <= candidates:
             return self._max_cycle_count_by_walk(self.n - 1)
         return self._max_cycle_count_by_membership()
 
@@ -382,7 +365,7 @@ class PermutationGroup:
 
     def _point_orbits(self) -> list[list[int]]:
         """The orbits of G on the 0-based points, each sorted."""
-        gens = [_zero_based(g) for g in self.generators]
+        gens = [g._images for g in self.generators]
         return [sorted(o) for o in _orbits(range(self.n), gens, tuple.__getitem__)]
 
 
@@ -407,11 +390,7 @@ def _orbits(points: Iterable, generators: Sequence[Permutation], image: Callable
     return orbits
 
 
-# Stabilizer chains work on 0-based image tuples: g(i) = images[i].
-
-def _zero_based(g: Permutation) -> tuple[int, ...]:
-    return tuple([x - 1 for x in g.images])
-
+# The permutation arithmetic, on 0-based image tuples.
 
 def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """(a * b)(i) = a(b(i))."""

@@ -206,16 +206,28 @@ def test_criterion_11_closed_form_suprema_at_large_degree():
             assert cli.run(argv, out=io.StringIO(), err=io.StringIO()) == 0, argv
 
 
+def cycle_text(points) -> str:
+    return "(" + " ".join(map(str, points)) + ")"
+
+
 def test_criterion_12_stabilizer_chain_groups_at_large_degree():
-    with criterion(12, "A9, S8 at n = 64 and an over-the-cap group return at once", 1.0):
+    description = "A9, S8 and C13^4 x C7 at n = 64 and an over-the-cap group return at once"
+    with criterion(12, description, 1.0):
         for argv in (
             ["classify", "--n", "9", "--p", "2", "--group-name", "A9"],
             ["classify", "--n", "64", "--p", "3", "--group-name", "S8"],
         ):
             assert cli.run(argv, out=io.StringIO(), err=io.StringIO()) == 0, argv
+        # order 199,927; its largest cycle count, 58, is the 7-cycle's
+        c13 = [cycle_text(range(13 * i + 1, 13 * i + 14)) for i in range(4)]
+        c7 = cycle_text(range(53, 60))
+        for gens in (c13 + [c7], [c7] + c13):
+            argv = ["classify", "--n", "64", "--p", "3", "--group", ";".join(gens)]
+            out = io.StringIO()
+            assert cli.run(argv, out=out, err=io.StringIO()) == 0, argv
+            assert '"nonfree_locus_dim_bound": 58' in out.getvalue()
         err = io.StringIO()
-        long_cycle = "(" + " ".join(map(str, range(1, 65))) + ")"
-        argv = ["classify", "--n", "64", "--p", "2", "--group", "(1 2);" + long_cycle]
+        argv = ["classify", "--n", "64", "--p", "2", "--group", "(1 2);" + cycle_text(range(1, 65))]
         assert cli.run(argv, out=io.StringIO(), err=err) == 2
         assert "group order exceeds 200000" in err.getvalue()
 

@@ -315,3 +315,76 @@ def test_group_presets():
         group_from_name("D4", 4)
     with pytest.raises(ValueError):
         group_from_name("S5", 4)  # does not fit in S_4
+
+
+# ---------------------------------------------------------------------------
+# the 1-based public view against plain 1-based references
+
+def reference_cycles(images, include_fixed):
+    seen, out = set(), []
+    for start in range(1, len(images) + 1):
+        if start in seen:
+            continue
+        cycle = [start]
+        while images[cycle[-1] - 1] != start:
+            cycle.append(images[cycle[-1] - 1])
+        seen.update(cycle)
+        if include_fixed or len(cycle) > 1:
+            out.append(tuple(cycle))
+    return out
+
+
+def test_permutation_methods_match_one_based_references_on_s1_to_s5():
+    for n in range(1, 6):
+        all_images = list(itertools.permutations(range(1, n + 1)))
+        perms = [Permutation(images) for images in all_images]
+        for images, g in zip(all_images, perms):
+            assert g.images == images and g.n == n
+            assert [g(i) for i in range(1, n + 1)] == list(images)
+            inverse = [0] * n
+            for i, j in enumerate(images, start=1):
+                inverse[j - 1] = i
+            assert g.inverse().images == tuple(inverse)
+            for fixed in (False, True):
+                assert g.cycles(fixed) == reference_cycles(images, fixed)
+            count = len(reference_cycles(images, True))
+            assert g.cycle_count() == count
+            inversions = sum(images[i] > images[j] for i, j in itertools.combinations(range(n), 2))
+            assert g.is_even() == (inversions % 2 == 0)
+            assert g.is_transposition() == (sum(images[i] != i + 1 for i in range(n)) == 2)
+            assert g.is_identity() == (images == tuple(range(1, n + 1)))
+        for (a, g), (b, h) in itertools.product(zip(all_images, perms), repeat=2):
+            assert (g * h).images == tuple(a[j - 1] for j in b)
+            assert (g < h) == (a < b)
+            assert (g == h) == (a == b)
+            if a == b:
+                assert hash(g) == hash(h)
+        assert len(set(perms)) == len(perms)
+
+
+def test_preset_generators_are_the_parsed_cycles():
+    def cycle(lo, hi):
+        return "(" + " ".join(map(str, range(lo, hi + 1))) + ")"
+
+    for m in range(1, 10):
+        for n in (m, m + 3):
+            expected = {
+                "S": (["(1 2)"] if m >= 2 else []) + ([cycle(1, m)] if m >= 3 else []),
+                "A": (["(1 2 3)"] if m >= 3 else [])
+                + ([cycle(1 if m % 2 else 2, m)] if m >= 4 else []),
+                "cyclic:": [cycle(1, m)] if m > 1 else [],
+            }
+            for prefix, texts in expected.items():
+                if prefix == "S" and m == 9:
+                    with pytest.raises(ValueError, match="group order exceeds 200000"):
+                        group_from_name(f"S{m}", n)
+                    continue
+                G = group_from_name(f"{prefix}{m}", n)
+                assert G.generators == tuple(parse_permutation(t, n) for t in texts)
+                assert all(g.n == n for g in G.generators)
+        if m >= 4:
+            for n in (m, m + 3):
+                assert group_from_name("klein4", n).generators == (
+                    parse_permutation("(1 2)(3 4)", n),
+                    parse_permutation("(1 3)(2 4)", n),
+                )

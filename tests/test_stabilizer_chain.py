@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from permsing import Permutation, PermutationGroup, group_from_name
+from permsing import Permutation, PermutationGroup, classify, group_from_name
 from permsing.perm import MAX_GROUP_ORDER
 
 from helpers import all_subgroups, elements, scan_nonfree_bound
@@ -205,3 +205,31 @@ def test_nonfree_path_follows_order_against_candidates(name, monkeypatch):
     else:
         monkeypatch.setattr(PermutationGroup, "_max_cycle_count_by_walk", not_taken)
     assert G.max_cycle_count() == expected
+
+
+# groups whose order is prime to 6: the walk runs at once, up to the ceiling
+# n - (r - 1) for the least prime r dividing |G|
+ODD_ORDER_CASES = {
+    "C3xC5@8": (8, lambda: PermutationGroup.from_text("(1 2 3);(4 5 6 7 8)", 8)),
+    # x -> x + 1 and x -> 2x on Z/7, points shifted to 1..7
+    "AGL(1,7)_21": (7, lambda: PermutationGroup.from_text("(1 2 3 4 5 6 7);(2 3 5)(4 7 6)", 7)),
+    "C5^2": (10, lambda: PermutationGroup.from_text("(1 2 3 4 5);(6 7 8 9 10)", 10)),
+    "C7xC11": (18, lambda: PermutationGroup.from_text(
+        "(1 2 3 4 5 6 7);(8 9 10 11 12 13 14 15 16 17 18)", 18)),
+    "cyclic:5@21": (21, lambda: group_from_name("cyclic:5", 21)),
+    "cyclic:7@21": (21, lambda: group_from_name("cyclic:7", 21)),
+    "cyclic:11@21": (21, lambda: group_from_name("cyclic:11", 21)),
+}
+
+
+@pytest.mark.parametrize("name", ODD_ORDER_CASES)
+def test_nonfree_bound_of_odd_order_groups_matches_the_full_walk(name, monkeypatch):
+    n, build = ODD_ORDER_CASES[name]
+    G = build()
+    assert G.order % 2 == 1
+    expected = G._max_cycle_count_by_walk(n - 1)
+    assert expected == scan_nonfree_bound(G)
+    if G.order % 3:
+        monkeypatch.setattr(PermutationGroup, "_max_cycle_count_by_membership", not_taken)
+    assert G.max_cycle_count() == expected
+    assert classify(G, 3).nonfree_locus_dim_bound == expected
