@@ -12,15 +12,11 @@ from .classify import (
     NOT_CERTIFIED,
     TRUE,
     UNKNOWN,
-    CanonicalCertificate,
     ClassificationReport,
-    PairStatus,
+    GorensteinReport,
     TraceEntry,
-    certify_canonical_no_transposition,
+    certify,
     classify,
-    discrepancy_reduction,
-    pair_status,
-    v_of_discriminant,
 )
 from .gf import GF
 from .halfint import NEG_INF, ExtHalf
@@ -33,14 +29,10 @@ from .oracle import (
     verify_dimension_growth,
 )
 from .perm import (
-    GorensteinReport,
+    GroupInvariants,
     Permutation,
     PermutationGroup,
-    branch_components,
-    fixed_space_dimension,
-    gorenstein_report,
     group_from_name,
-    is_pseudo_reflection,
     parse_generators,
     parse_permutation,
 )
@@ -68,7 +60,6 @@ __all__ = [
     "TRUE",
     "UNKNOWN",
     "ASQuotient",
-    "CanonicalCertificate",
     "ClassificationReport",
     "ComponentSup",
     "DeltaSet",
@@ -77,27 +68,21 @@ __all__ = [
     "GF",
     "GlobalSup",
     "GorensteinReport",
+    "GroupInvariants",
     "NEG_INF",
-    "PairStatus",
     "Permutation",
     "PermutationGroup",
     "StratumShape",
     "TraceEntry",
     "as_class_count",
-    "branch_components",
-    "certify_canonical_no_transposition",
+    "certify",
     "classify",
     "dim_connected",
     "dim_cyclic_cubic_galois",
-    "discrepancy_reduction",
     "discriminant_of_jump",
     "enumerate_strata",
-    "fixed_space_dimension",
     "global_sup",
-    "gorenstein_report",
     "group_from_name",
-    "is_pseudo_reflection",
-    "pair_status",
     "parse_generators",
     "parse_permutation",
     "partitions",
@@ -105,6 +90,5 @@ __all__ = [
     "stratum_dim_sum",
     "sup_component",
     "tame_totally_ramified_count",
-    "v_of_discriminant",
     "verify_dimension_growth",
 ]

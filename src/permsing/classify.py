@@ -1,5 +1,12 @@
 """Certificate engine: canonical / klt / lc verdicts for permutation quotients.
 
+The verdict depends on the group only through its invariants: `certify(p,
+inv)` reads the integers of a `GroupInvariants` record and nothing else, and
+`classify(G, p)` is `certify(p, G.invariants())`.  The pseudo-reflections of a
+permutation action are exactly the transpositions, so the branch divisor has
+one component per conjugacy class of them; the Gorenstein and boundary data
+of the pair (X, B) follow from that count, p and evenness.
+
 Verdicts are one-sided: the engine either certifies membership in a
 singularity class or reports NOT_CERTIFIED.  It never asserts non-membership,
 because the stratum dimensions entering the bounds are themselves only upper
@@ -14,9 +21,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .halfint import ExtHalf
-from .perm import GorensteinReport, PermutationGroup, gorenstein_report
+from .perm import GroupInvariants, PermutationGroup
 from .primes import validate_characteristic
-from .strata import GlobalSup, global_sup
+from .strata import global_sup
 
 CERTIFIED = "CERTIFIED"
 NOT_CERTIFIED = "NOT_CERTIFIED"
@@ -54,86 +61,43 @@ class TraceEntry:
 
 
 @dataclass(frozen=True)
-class CanonicalCertificate:
-    """Result of the transposition-free canonical check for degree n."""
+class GorensteinReport:
+    """Gorenstein and boundary data of the quotient pair (X, B).
 
-    ok: bool
-    worst_partition: Optional[tuple[int, ...]]
-    worst_value: ExtHalf
-
-    @classmethod
-    def from_sup(cls, gs: GlobalSup) -> "CanonicalCertificate":
-        return cls(gs.sup <= ExtHalf(-1), gs.worst_partition, gs.sup)
-
-
-def v_of_discriminant(d: int) -> ExtHalf:
-    """The weight of a stratum with discriminant exponent d: exactly d/2."""
-    if d < 0:
-        raise ValueError(f"discriminant exponent must be >= 0, got {d}")
-    return ExtHalf(Fraction(d, 2))
-
-
-def certify_canonical_no_transposition(n: int, p: int) -> CanonicalCertificate:
-    """Check sup over non-trivial strata of dim - d/2 <= -1 for degree n.
-
-    For a transposition-free group this certifies that the quotient has only
-    canonical singularities.  The inequality holds for every (n, p); a False
-    here signals an implementation fault, not a mathematical outcome.
+    The indices are divisibility statements, not exact values: 2K_X is always
+    Cartier and K_X itself is Cartier when p = 2 or when G consists of even
+    permutations (the top form is then invariant); B is 2-Cartier, and
+    Cartier when p = 2.
     """
-    return CanonicalCertificate.from_sup(global_sup(n, p, transposition_free=True))
 
+    kx_index_divides: int
+    boundary_coefficient: Optional[Fraction]
+    b_cartier_index_divides: Optional[int]
+    branch_component_count: int
 
-@dataclass(frozen=True)
-class PairStatus:
-    klt: str
-    lc: str
+    def __post_init__(self):
+        if self.kx_index_divides not in (1, 2):
+            raise ValueError("kx_index_divides must be 1 or 2")
+        coeff = self.boundary_coefficient
+        if coeff is not None and coeff not in (Fraction(1), Fraction(1, 2)):
+            raise ValueError(f"boundary coefficient must be 1 or 1/2, got {coeff}")
+        if (coeff is None) != (self.b_cartier_index_divides is None):
+            raise ValueError("boundary coefficient and Cartier index must be absent together")
+        if coeff is not None and self.b_cartier_index_divides != coeff.denominator:
+            raise ValueError("Cartier index must mirror the coefficient denominator")
+        if (self.branch_component_count == 0) != (coeff is None):
+            raise ValueError("coefficient is absent exactly when there is no branch divisor")
 
-
-def pair_status(n: int, p: int, has_transposition: bool) -> PairStatus:
-    """Kawamata-log-terminal / log-canonical status of the pair (X, B).
-
-    lc holds in every characteristic because the stratum bounds are finite.
-    klt holds whenever p != 2 (the bounds decay to -oo); for p = 2 it fails
-    in the presence of a transposition (the boundary then has a reduced
-    component) and is derived from the canonical certificate when B = 0.
-    """
-    validate_characteristic(p)
-    if p != 2:
-        klt = TRUE
-    elif has_transposition:
-        klt = FALSE
-    else:
-        cert = certify_canonical_no_transposition(n, p)
-        klt = TRUE if cert.ok else UNKNOWN
-    return PairStatus(klt=klt, lc=TRUE)
-
-
-def discrepancy_reduction(
-    p: int,
-    pair_level: str,
-    b_cartier_index: Optional[int],
-    min_boundary_coeff: Optional[Fraction],
-) -> ExtHalf:
-    """Lower bound on discrep(E; X) from the pair bound plus the boundary pull-back.
-
-    Along a divisor whose center lies in the boundary, discrep(E; X) equals
-    discrep(E; X, B) plus the multiplicity of the pulled-back boundary.  A klt
-    pair with (1/index)-discrete discrepancies gives -1 + 1/index; an lc pair
-    gives -1.  The boundary multiplicity contributes at least its smallest
-    coefficient, and the total is >= 0 in both characteristics.
-    """
-    validate_characteristic(p)
-    if b_cartier_index is None or min_boundary_coeff is None:
-        raise ValueError("discrepancy reduction needs a non-empty boundary")
-    if pair_level not in ("klt", "lc"):
-        raise ValueError(f"pair_level must be 'klt' or 'lc', got {pair_level!r}")
-    if b_cartier_index not in (1, 2):
-        raise ValueError(f"Cartier index must be 1 or 2, got {b_cartier_index}")
-    if pair_level == "klt":
-        base = Fraction(-1) + Fraction(1, b_cartier_index)
-    else:
-        base = Fraction(-1)
-    return ExtHalf(base + min_boundary_coeff)
+    def as_json(self) -> dict:
+        coeff = self.boundary_coefficient
+        return {
+            "kx_index_divides": self.kx_index_divides,
+            "boundary_coefficient": None
+            if coeff is None
+            else {"num": coeff.numerator, "den": coeff.denominator},
+            "b_cartier_index_divides": self.b_cartier_index_divides,
+            "branch_component_count": self.branch_component_count,
+        }
 
 
 @dataclass(frozen=True)
@@ -188,18 +152,62 @@ def _fmt_partition(nu: Optional[tuple[int, ...]]) -> str:
 
 
 def classify(group: PermutationGroup, p: int) -> ClassificationReport:
-    """Classify the quotient of affine n-space by a permutation group.
+    """Classify the quotient of affine n-space by a permutation group."""
+    return certify(p, group.invariants())
+
+
+def _check_invariants(inv: GroupInvariants) -> None:
+    """Reject a record that no permutation group has."""
+    n, order, classes, all_even, nonfree = inv
+    if n < 1 or order < 1:
+        raise ValueError(f"degree and order must be positive, got n={n}, order={order}")
+    if classes and all_even:
+        raise ValueError("an even group has no transposition")
+    # a non-identity element of S_n has between 1 and n - 1 cycles
+    if (nonfree is None) != (order == 1) or (nonfree is not None and not 1 <= nonfree < n):
+        raise ValueError(
+            f"max_cycle_count must be None for order 1 and in 1..n-1 otherwise, got {nonfree}"
+        )
+    if (nonfree == n - 1) != (classes > 0):
+        raise ValueError("max_cycle_count is n - 1 exactly when there is a transposition")
+
+
+def certify(p: int, inv: GroupInvariants) -> ClassificationReport:
+    """Certify the quotient of affine n-space by any group with invariants inv.
+
+    Gorenstein data: in characteristic 2 the quotient is 1-Gorenstein and the
+    boundary (if any) is reduced; otherwise 2K_X is Cartier and every boundary
+    component has coefficient 1/2, and K_X is Cartier for an even group.
+
+    lc holds in every characteristic because the stratum bounds are finite,
+    and klt whenever p != 2 (the bounds decay to -oo).  For p = 2 klt fails
+    in the presence of a transposition (the boundary is then reduced) and is
+    derived from the canonical certificate when B = 0.
 
     Transposition-free groups are certified canonical directly from the
-    stratum bounds.  Groups with transpositions are certified by combining
-    the pair status with the discrepancy-reduction arithmetic on the boundary
-    and the transposition-free certificates in all dimensions <= n for
-    centers off the boundary.
+    stratum bounds.  For a group with transpositions, a divisor whose center
+    lies in the boundary has discrep(E; X) = discrep(E; X, B) plus the
+    boundary multiplicity: at least -1 + 1/index for a klt pair with B
+    index-Cartier (-1 for an lc pair), plus the smallest coefficient.  Centers
+    off the boundary see transposition-free quotients of dimension <= n.
     """
     validate_characteristic(p)
-    n = group.n
-    gor = gorenstein_report(group, p)
-    has_t = gor.branch_component_count > 0
+    _check_invariants(inv)
+    n, classes = inv.n, inv.transposition_classes
+    has_t = classes > 0
+    coeff = b_index = None
+    if has_t:
+        b_index = 1 if p == 2 else 2
+        coeff = Fraction(1, b_index)
+    gor = GorensteinReport(1 if p == 2 or inv.all_even else 2, coeff, b_index, classes)
+    gs = global_sup(n, p, transposition_free=not has_t)
+    tf_ok = gs.sup <= ExtHalf(-1)
+    if p != 2:
+        klt = TRUE
+    elif has_t:
+        klt = FALSE
+    else:
+        klt = TRUE if tf_ok else UNKNOWN
     trace: list[TraceEntry] = []
 
     trace.append(
@@ -210,36 +218,28 @@ def classify(group: PermutationGroup, p: int) -> ClassificationReport:
         )
     )
     if has_t:
-        coeff = gor.boundary_coefficient
         trace.append(
             TraceEntry(
                 ANCHOR_BOUNDARY_COEFFICIENT,
-                f"boundary has {gor.branch_component_count} component(s), "
-                f"each with coefficient {coeff}",
+                f"boundary has {classes} component(s), each with coefficient {coeff}",
             )
         )
-        trace.append(
-            TraceEntry(
-                ANCHOR_B_CARTIER_INDEX,
-                f"{gor.b_cartier_index_divides}*B is Cartier",
-            )
-        )
+        trace.append(TraceEntry(ANCHOR_B_CARTIER_INDEX, f"{b_index}*B is Cartier"))
 
-    pair = pair_status(n, p, has_t)
     trace.append(
         TraceEntry(
             ANCHOR_LC_FROM_BOUNDED_SUP,
             "dim - v is bounded above over all strata, so (X,B) is log canonical",
         )
     )
-    if pair.klt == TRUE and p != 2:
+    if klt == TRUE and p != 2:
         trace.append(
             TraceEntry(
                 ANCHOR_KLT_FROM_DECAY,
                 "dim - v tends to -oo along the strata (p != 2), so (X,B) is klt",
             )
         )
-    elif pair.klt == FALSE:
+    elif klt == FALSE:
         trace.append(
             TraceEntry(
                 ANCHOR_KLT_FAILS_REDUCED_BOUNDARY,
@@ -247,26 +247,24 @@ def classify(group: PermutationGroup, p: int) -> ClassificationReport:
             )
         )
 
-    gs = global_sup(n, p, transposition_free=not has_t)
     if not has_t:
-        cert = CanonicalCertificate.from_sup(gs)
         trace.append(
             TraceEntry(
                 ANCHOR_TF_STRATUM_BOUND,
                 f"transposition-free sup of dim - v over non-trivial strata is "
-                f"{cert.worst_value.as_text()} at nu={_fmt_partition(cert.worst_partition)}",
+                f"{gs.sup.as_text()} at nu={_fmt_partition(gs.worst_partition)}",
             )
         )
-        canonical = CERTIFIED if cert.ok else NOT_CERTIFIED
+        canonical = CERTIFIED if tf_ok else NOT_CERTIFIED
         trace.append(
             TraceEntry(
                 ANCHOR_CANONICAL_FROM_STRATA,
                 "dim - v <= -1 on every non-trivial stratum certifies canonical"
-                if cert.ok
+                if tf_ok
                 else "stratum bound check failed; no certificate",
             )
         )
-        if pair.klt == TRUE and p == 2:
+        if klt == TRUE and p == 2:
             trace.append(
                 TraceEntry(
                     ANCHOR_KLT_FROM_CANONICAL,
@@ -275,10 +273,10 @@ def classify(group: PermutationGroup, p: int) -> ClassificationReport:
                 )
             )
     else:
-        level = "klt" if p != 2 else "lc"
-        bound = discrepancy_reduction(
-            p, level, gor.b_cartier_index_divides, gor.boundary_coefficient
-        )
+        # lc = TRUE always, so the pair bound is klt's when klt holds and lc's otherwise
+        level = "klt" if klt == TRUE else "lc"
+        base = Fraction(-1) + (Fraction(1, b_index) if level == "klt" else 0)
+        bound = ExtHalf(base + coeff)
         trace.append(
             TraceEntry(
                 ANCHOR_DISCREPANCY_REDUCTION,
@@ -287,7 +285,8 @@ def classify(group: PermutationGroup, p: int) -> ClassificationReport:
             )
         )
         off_ok = all(
-            certify_canonical_no_transposition(m, p).ok for m in range(1, n + 1)
+            global_sup(m, p, transposition_free=True).sup <= ExtHalf(-1)
+            for m in range(1, n + 1)
         )
         trace.append(
             TraceEntry(
@@ -298,10 +297,7 @@ def classify(group: PermutationGroup, p: int) -> ClassificationReport:
                 else "off-boundary certificate failed",
             )
         )
-        level_ok = pair.klt == TRUE if p != 2 else pair.lc == TRUE
-        canonical = (
-            CERTIFIED if (bound >= ExtHalf(0) and off_ok and level_ok) else NOT_CERTIFIED
-        )
+        canonical = CERTIFIED if bound >= ExtHalf(0) and off_ok else NOT_CERTIFIED
 
     stringy = ExtHalf(n) + gs.sup
     trace.append(
@@ -312,7 +308,7 @@ def classify(group: PermutationGroup, p: int) -> ClassificationReport:
     )
 
     # the fixed space of an element has one dimension per cycle
-    nonfree = group.max_cycle_count()
+    nonfree = inv.max_cycle_count
     if nonfree is not None:
         trace.append(
             TraceEntry(
@@ -324,11 +320,11 @@ def classify(group: PermutationGroup, p: int) -> ClassificationReport:
     return ClassificationReport(
         n=n,
         p=p,
-        group_order=group.order,
+        group_order=inv.order,
         has_transposition=has_t,
         canonical=canonical,
-        pair_klt=pair.klt,
-        pair_lc=pair.lc,
+        pair_klt=klt,
+        pair_lc=TRUE,
         stringy_dim_bound=stringy,
         gorenstein=gor,
         nonfree_locus_dim_bound=nonfree,

@@ -1,4 +1,4 @@
-"""Permutations, permutation groups, and branch-divisor data.
+"""Permutations, permutation groups, and the invariants the verdict reads.
 
 There is one permutation format, the 0-based image tuple g(i) = images[i]:
 `Permutation` wraps one and shifts points by one only in its 1-based public
@@ -7,12 +7,15 @@ as its generators and a stabilizer chain: a base and strong generating set
 built by deterministic Schreier-Sims, with one transversal per level.  The
 order is the product of the transversal lengths and membership is a sift down
 the chain; no element set is kept.  The build stops as soon as |G| is known to
-exceed MAX_GROUP_ORDER (2*10^5).  The pseudo-reflections of such an action are
-exactly the transpositions, and the branch divisor has one component per
-conjugation orbit of them.  Evenness is read from the generators; the
+exceed MAX_GROUP_ORDER (2*10^5).
+
+`PermutationGroup.invariants()` collects, once, all that the certificate in
+`permsing.classify` reads from G: the degree, the order, the number of
+conjugacy classes of transpositions, evenness, and the largest cycle count of
+a non-identity element.  Evenness is read from the generators; the
 transpositions are the swaps within a generator orbit that pass a membership
-test, and their orbits are orbits of point pairs under the generators.  The
-non-free-locus bound tests the swaps, 3-cycles and double transpositions by
+test, and their classes are orbits of point pairs under the generators.  The
+largest cycle count tests the swaps, 3-cycles and double transpositions by
 membership too, and walks the elements only when that is cheaper, none of them
 is in G, or |G| is prime to 6, so that G holds none of them.
 """
@@ -22,14 +25,21 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
-from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
-
-from .primes import validate_characteristic
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 MAX_GROUP_ORDER = 200_000
+
+
+class GroupInvariants(NamedTuple):
+    """The integers a verdict depends on; max_cycle_count is None exactly
+    for the trivial group."""
+
+    n: int
+    order: int
+    transposition_classes: int
+    all_even: bool
+    max_cycle_count: Optional[int]
 
 
 class CycleParseError(ValueError):
@@ -290,9 +300,21 @@ class PermutationGroup:
         )
         return sorted(Permutation._valid(t) for t in swaps if self._sifts(t))
 
+    def transposition_classes(self) -> int:
+        """The number of G-conjugacy classes of transpositions in G.  Since
+        g (i j) g^-1 = (g(i) g(j)), they are the orbits of the swapped pairs
+        {i, j} under the generators."""
+        pairs = [frozenset(t.cycles()[0]) for t in self.transpositions()]
+        return len(_orbits(pairs, self.generators, lambda g, pair: frozenset(map(g, pair))))
+
     def all_even(self) -> bool:
         """G is even exactly when its generators are."""
         return all(g.is_even() for g in self.generators)
+
+    def invariants(self) -> GroupInvariants:
+        """The invariants of G, each computed once."""
+        classes, even = self.transposition_classes(), self.all_even()
+        return GroupInvariants(self.n, self.order, classes, even, self.max_cycle_count())
 
     def max_cycle_count(self) -> Optional[int]:
         """The largest cycle count (fixed points included) of a non-identity
@@ -519,111 +541,6 @@ def _extend_orbit(t: dict, gens: list[tuple]) -> None:
             if y not in t:
                 t[y] = (_compose(s, u), _compose(u_inv, s_inv))
                 points.append(y)
-
-
-def fixed_space_dimension(g: Permutation) -> int:
-    """Dimension of the fixed subspace of the permutation matrix of g.
-
-    Equals the number of cycles of g on {1..n} (fixed points included), in
-    every characteristic: the orbit-sum vectors form a basis of the fixed
-    space regardless of the ground field.
-    """
-    return g.cycle_count()
-
-
-def is_pseudo_reflection(g: Permutation) -> bool:
-    """True iff the fixed space of g has codimension one.
-
-    For permutation matrices this holds exactly for transpositions; the
-    identity is rejected since pseudo-reflections are non-trivial.
-    """
-    if g.is_identity():
-        raise ValueError("identity is not eligible")
-    return fixed_space_dimension(g) == g.n - 1
-
-
-def branch_components(group: PermutationGroup) -> int:
-    """Number of irreducible components of the branch divisor.
-
-    The ramification divisor of the quotient map is the union of the
-    hyperplanes x_i = x_j over transpositions (i j) in G, and its image has
-    one component per conjugation orbit of transpositions under G.  Since
-    g (i j) g^-1 = (g(i) g(j)), these are the orbits of the pairs {i, j}
-    under the generators.
-    """
-    pairs = [frozenset(t.cycles()[0]) for t in group.transpositions()]
-    return len(_orbits(pairs, group.generators, lambda g, pair: frozenset(map(g, pair))))
-
-
-@dataclass(frozen=True)
-class GorensteinReport:
-    """Gorenstein and boundary data of the quotient pair (X, B).
-
-    The indices are divisibility statements, not exact values: 2K_X is always
-    Cartier and K_X itself is Cartier when p = 2 or when G consists of even
-    permutations (the top form is then invariant); B is 2-Cartier, and
-    Cartier when p = 2.
-    """
-
-    kx_index_divides: int
-    boundary_coefficient: Optional[Fraction]
-    b_cartier_index_divides: Optional[int]
-    branch_component_count: int
-
-    def __post_init__(self):
-        if self.kx_index_divides not in (1, 2):
-            raise ValueError("kx_index_divides must be 1 or 2")
-        coeff = self.boundary_coefficient
-        if coeff is not None and coeff not in (Fraction(1), Fraction(1, 2)):
-            raise ValueError(f"boundary coefficient must be 1 or 1/2, got {coeff}")
-        if (coeff is None) != (self.b_cartier_index_divides is None):
-            raise ValueError("boundary coefficient and Cartier index must be absent together")
-        if coeff is not None and self.b_cartier_index_divides != coeff.denominator:
-            raise ValueError("Cartier index must mirror the coefficient denominator")
-        if (self.branch_component_count == 0) != (coeff is None):
-            raise ValueError("coefficient is absent exactly when there is no branch divisor")
-
-    def as_json(self) -> dict:
-        coeff = self.boundary_coefficient
-        return {
-            "kx_index_divides": self.kx_index_divides,
-            "boundary_coefficient": None
-            if coeff is None
-            else {"num": coeff.numerator, "den": coeff.denominator},
-            "b_cartier_index_divides": self.b_cartier_index_divides,
-            "branch_component_count": self.branch_component_count,
-        }
-
-
-def gorenstein_report(group: PermutationGroup, p: int) -> GorensteinReport:
-    """Gorenstein index divisor, boundary coefficient, and branch count.
-
-    In characteristic 2 the quotient is 1-Gorenstein and the boundary (if any)
-    is reduced; otherwise 2K_X is Cartier and every boundary component has
-    coefficient 1/2.  When G is contained in the alternating group the top
-    form is G-invariant, so the index is refined to 1.
-    """
-    validate_characteristic(p)
-    count = branch_components(group)
-    if count == 0:
-        coeff = None
-        b_index = None
-    elif p == 2:
-        coeff = Fraction(1)
-        b_index = 1
-    else:
-        coeff = Fraction(1, 2)
-        b_index = 2
-    if p == 2 or group.all_even():
-        kx = 1
-    else:
-        kx = 2
-    return GorensteinReport(
-        kx_index_divides=kx,
-        boundary_coefficient=coeff,
-        b_cartier_index_divides=b_index,
-        branch_component_count=count,
-    )
 
 
 _PRESET_RE = re.compile(r"^(S|A)(\d+)$|^cyclic:(\d+)$|^klein4$|^trivial$")

@@ -11,25 +11,42 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
+
 from permsing import (
     CERTIFIED,
     FALSE,
     NEG_INF,
     TRUE,
     ExtHalf,
+    GroupInvariants,
     Permutation,
     as_class_count,
+    certify,
     classify,
     dim_connected,
     dim_cyclic_cubic_galois,
-    fixed_space_dimension,
     global_sup,
-    is_pseudo_reflection,
     sup_component,
     tame_totally_ramified_count,
     verify_dimension_growth,
 )
 from permsing import cli
+from permsing.classify import (
+    ANCHOR_BOUNDARY_COEFFICIENT,
+    ANCHOR_B_CARTIER_INDEX,
+    ANCHOR_CANONICAL_FROM_STRATA,
+    ANCHOR_DISCREPANCY_REDUCTION,
+    ANCHOR_GORENSTEIN_INDEX,
+    ANCHOR_KLT_FAILS_REDUCED_BOUNDARY,
+    ANCHOR_KLT_FROM_CANONICAL,
+    ANCHOR_KLT_FROM_DECAY,
+    ANCHOR_LC_FROM_BOUNDED_SUP,
+    ANCHOR_NONFREE_LOCUS,
+    ANCHOR_OFF_BOUNDARY,
+    ANCHOR_STRINGY_BOUND,
+    ANCHOR_TF_STRATUM_BOUND,
+)
 from permsing.perm import PermutationGroup
 
 from helpers import (
@@ -178,11 +195,11 @@ def test_criterion_09_pseudo_reflection_characterization():
             g = Permutation(images)
             if g.is_identity():
                 continue
-            dim = fixed_space_dimension(g)
+            dim = g.cycle_count()
             assert fixed_dim_rank_Q(g) == dim
             assert fixed_dim_rank_mod_p(g, 2) == dim
             assert fixed_dim_rank_mod_p(g, 3) == dim
-            assert is_pseudo_reflection(g) == g.is_transposition() == (dim == n - 1)
+            assert g.is_transposition() == (dim == n - 1)
 
 
 def test_criterion_10_tame_dimension_zero():
@@ -211,7 +228,7 @@ def cycle_text(points) -> str:
 
 
 def test_criterion_12_stabilizer_chain_groups_at_large_degree():
-    description = "A9, S8 and C13^4 x C7 at n = 64 and an over-the-cap group return at once"
+    description = "A9, S8, C13^4 x C7 at n = 64, an over-the-cap group and a bad p return at once"
     with criterion(12, description, 1.0):
         for argv in (
             ["classify", "--n", "9", "--p", "2", "--group-name", "A9"],
@@ -230,6 +247,17 @@ def test_criterion_12_stabilizer_chain_groups_at_large_degree():
         argv = ["classify", "--n", "64", "--p", "2", "--group", "(1 2);" + cycle_text(range(1, 65))]
         assert cli.run(argv, out=io.StringIO(), err=err) == 2
         assert "group order exceeds 200000" in err.getvalue()
+        # AGL(1,8)^3 walks its 175,616 elements for the non-free bound; a bad
+        # characteristic is rejected before that
+        agl = [
+            f"({o + 1} {o + 2})({o + 3} {o + 4})({o + 5} {o + 6})({o + 7} {o + 8});"
+            + cycle_text(o + x for x in (2, 3, 5, 4, 7, 8, 6))
+            for o in (0, 8, 16)
+        ]
+        err = io.StringIO()
+        argv = ["classify", "--n", "64", "--p", "4", "--group", ";".join(agl)]
+        assert cli.run(argv, out=io.StringIO(), err=err) == 2
+        assert "characteristic must be 0 or prime, got 4" in err.getvalue()
 
 
 def test_criterion_14_oracles_at_their_caps():
@@ -238,3 +266,66 @@ def test_criterion_14_oracles_at_their_caps():
         assert as_class_count(2, 8, 7) == 3584
         assert tame_totally_ramified_count(17, 5) == 5
         assert verify_dimension_growth(2, 2, 9, [4]).counts == (0,)
+
+
+def theorem_records(n: int):
+    """The invariants of five small groups, on n points where they fit."""
+    yield GroupInvariants(n, 1, 0, True, None)  # trivial
+    if n >= 3:
+        yield GroupInvariants(n, 3, 0, True, n - 2)  # <(1 2 3)>
+    if n >= 4:
+        yield GroupInvariants(n, 4, 0, False, n - 2)  # <(1 2 3 4)>
+    if n >= 2:
+        yield GroupInvariants(n, 2, 1, False, n - 1)  # <(1 2)>
+    if n >= 4:
+        yield GroupInvariants(n, 4, 2, False, n - 1)  # <(1 2), (3 4)>
+
+
+def theorem_anchors(p: int, has_t: bool, nonfree) -> list[str]:
+    """The trace anchors of a certificate, in the order they are written."""
+    anchors = [ANCHOR_GORENSTEIN_INDEX]
+    if has_t:
+        anchors += [ANCHOR_BOUNDARY_COEFFICIENT, ANCHOR_B_CARTIER_INDEX]
+    anchors.append(ANCHOR_LC_FROM_BOUNDED_SUP)
+    if p != 2:
+        anchors.append(ANCHOR_KLT_FROM_DECAY)
+    elif has_t:
+        anchors.append(ANCHOR_KLT_FAILS_REDUCED_BOUNDARY)
+    if has_t:
+        anchors += [ANCHOR_DISCREPANCY_REDUCTION, ANCHOR_OFF_BOUNDARY]
+    else:
+        anchors += [ANCHOR_TF_STRATUM_BOUND, ANCHOR_CANONICAL_FROM_STRATA]
+        if p == 2:
+            anchors.append(ANCHOR_KLT_FROM_CANONICAL)
+    anchors.append(ANCHOR_STRINGY_BOUND)
+    if nonfree is not None:
+        anchors.append(ANCHOR_NONFREE_LOCUS)
+    return anchors
+
+
+def test_criterion_15_theorem_table_from_invariants():
+    description = "certify restates the theorem for n <= 64, six p, 0-2 classes, both parities"
+    with criterion(15, description, 2.0):
+        for n in range(1, 65):
+            for p in (0, 2, 3, 5, 7, 999999999989):
+                for inv in theorem_records(n):
+                    has_t = inv.transposition_classes > 0
+                    report = certify(p, inv)
+                    assert report.canonical == CERTIFIED and report.pair_lc == TRUE
+                    assert report.pair_klt == (FALSE if p == 2 and has_t else TRUE), (n, p, inv)
+                    gor = report.gorenstein
+                    assert gor.kx_index_divides == (1 if p == 2 or inv.all_even else 2)
+                    coeff = (Fraction(1) if p == 2 else Fraction(1, 2)) if has_t else None
+                    assert gor.boundary_coefficient == coeff
+                    assert gor.b_cartier_index_divides == (coeff.denominator if has_t else None)
+                    assert gor.branch_component_count == inv.transposition_classes
+                    sup = global_sup(n, p, transposition_free=not has_t).sup
+                    assert report.stringy_dim_bound == ExtHalf(n) + sup
+                    assert (report.n, report.p, report.group_order) == (n, p, inv.order)
+                    assert report.has_transposition == has_t
+                    assert report.nonfree_locus_dim_bound == inv.max_cycle_count
+                    anchors = [t.anchor for t in report.trace]
+                    assert anchors == theorem_anchors(p, has_t, inv.max_cycle_count)
+                if n >= 2:
+                    with pytest.raises(ValueError, match="even group"):
+                        certify(p, GroupInvariants(n, 2, 1, True, n - 1))

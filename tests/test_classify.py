@@ -12,17 +12,16 @@ from permsing import (
     NEG_INF,
     TRUE,
     ExtHalf,
+    GroupInvariants,
     Permutation,
     PermutationGroup,
-    certify_canonical_no_transposition,
+    certify,
     classify,
-    discrepancy_reduction,
-    pair_status,
-    v_of_discriminant,
 )
 from permsing import primes
 from permsing.classify import (
     ANCHOR_CANONICAL_FROM_STRATA,
+    ANCHOR_TF_STRATUM_BOUND,
     ANCHOR_DISCREPANCY_REDUCTION,
     ANCHOR_GORENSTEIN_INDEX,
     ANCHOR_KLT_FAILS_REDUCED_BOUNDARY,
@@ -37,51 +36,66 @@ from permsing.primes import MAX_CHARACTERISTIC, validate_characteristic
 from helpers import all_subgroups
 
 
-def test_v_of_discriminant():
-    assert v_of_discriminant(0) == ExtHalf(0)
-    assert v_of_discriminant(3) == ExtHalf(Fraction(3, 2))
-    assert v_of_discriminant(4) == ExtHalf(2)
-    with pytest.raises(ValueError):
-        v_of_discriminant(-1)
+def transposition_free(n: int) -> GroupInvariants:
+    """The invariants of the cyclic group of (1 2 3), n >= 3."""
+    return GroupInvariants(n, 3, 0, True, n - 2)
+
+
+def detail(report, anchor: str) -> str:
+    return next(t.detail for t in report.trace if t.anchor == anchor)
 
 
 def test_certify_examples():
-    cert = certify_canonical_no_transposition(4, 2)
-    assert cert.ok and cert.worst_value == ExtHalf(-1)
-    cert = certify_canonical_no_transposition(3, 3)
-    assert cert.ok and cert.worst_value == ExtHalf(-1) and cert.worst_partition == (3,)
-    cert = certify_canonical_no_transposition(2, 7)
-    assert cert.ok and cert.worst_value == NEG_INF and cert.worst_partition == (2,)
+    report = certify(2, transposition_free(4))
+    assert report.canonical == CERTIFIED and report.stringy_dim_bound == ExtHalf(3)
+    assert detail(report, ANCHOR_TF_STRATUM_BOUND).endswith("is -1 at nu=(4)")
+    report = certify(3, transposition_free(3))
+    assert report.canonical == CERTIFIED and report.stringy_dim_bound == ExtHalf(2)
+    assert detail(report, ANCHOR_TF_STRATUM_BOUND).endswith("is -1 at nu=(3)")
+    report = certify(7, GroupInvariants(2, 1, 0, True, None))
+    assert report.canonical == CERTIFIED and report.stringy_dim_bound == NEG_INF
+    assert detail(report, ANCHOR_TF_STRATUM_BOUND).endswith("is -inf at nu=(2)")
 
 
 def test_certify_holds_everywhere_small():
     for p in (0, 2, 3, 5, 7):
         for n in range(1, 11):
-            assert certify_canonical_no_transposition(n, p).ok, (n, p)
+            inv = transposition_free(n) if n >= 3 else GroupInvariants(n, 1, 0, True, None)
+            assert certify(p, inv).canonical == CERTIFIED, (n, p)
 
 
 def test_pair_status_examples():
-    s = pair_status(5, 3, True)
-    assert (s.klt, s.lc) == (TRUE, TRUE)
-    s = pair_status(2, 2, True)
-    assert (s.klt, s.lc) == (FALSE, TRUE)
-    s = pair_status(4, 2, False)
-    assert (s.klt, s.lc) == (TRUE, TRUE)
+    s = certify(3, GroupInvariants(5, 2, 1, False, 4))
+    assert (s.pair_klt, s.pair_lc) == (TRUE, TRUE)
+    s = certify(2, GroupInvariants(2, 2, 1, False, 1))
+    assert (s.pair_klt, s.pair_lc) == (FALSE, TRUE)
+    s = certify(2, transposition_free(4))
+    assert (s.pair_klt, s.pair_lc) == (TRUE, TRUE)
 
 
 def test_discrepancy_reduction_examples():
-    assert discrepancy_reduction(5, "klt", 2, Fraction(1, 2)) == ExtHalf(0)
-    assert discrepancy_reduction(2, "lc", 1, Fraction(1)) == ExtHalf(0)
-    assert discrepancy_reduction(3, "klt", 2, Fraction(1, 2)) == ExtHalf(0)
+    for p, level in ((5, "klt"), (2, "lc"), (3, "klt")):
+        report = certify(p, GroupInvariants(4, 2, 1, False, 3))
+        text = detail(report, ANCHOR_DISCREPANCY_REDUCTION)
+        assert text.endswith(f"({level} bound) + (boundary multiplicity) = 0")
 
 
-def test_discrepancy_reduction_errors():
-    with pytest.raises(ValueError):
-        discrepancy_reduction(5, "klt", None, None)  # empty boundary
-    with pytest.raises(ValueError):
-        discrepancy_reduction(5, "terminal", 2, Fraction(1, 2))
-    with pytest.raises(ValueError):
-        discrepancy_reduction(5, "klt", 3, Fraction(1, 2))
+def test_certify_rejects_impossible_invariants():
+    for inv in (
+        GroupInvariants(0, 1, 0, True, None),  # no points
+        GroupInvariants(3, 0, 0, True, None),  # no elements
+        GroupInvariants(3, 2, 1, True, 2),  # an even transposition
+        GroupInvariants(3, 1, 0, True, 1),  # trivial group with a non-identity element
+        GroupInvariants(3, 3, 0, True, None),  # non-trivial group without one
+        GroupInvariants(3, 3, 0, True, 3),  # a non-identity element fixing every point
+        GroupInvariants(3, 3, 0, True, 0),  # an element with no cycle
+        GroupInvariants(3, 2, 0, False, 2),  # n - 1 cycles but no transposition
+        GroupInvariants(4, 2, 1, False, 2),  # a transposition with n - 2 cycles
+    ):
+        with pytest.raises(ValueError):
+            certify(2, inv)
+    with pytest.raises(ValueError, match="characteristic"):
+        certify(4, transposition_free(3))
 
 
 # ---------------------------------------------------------------------------

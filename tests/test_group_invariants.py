@@ -1,14 +1,16 @@
 """Group invariants read from generators and membership tests, checked
-against element-by-element scans and, where installed, sympy."""
+against element-by-element scans and, where installed, sympy; and the
+verdict as a function of them alone."""
 
 import random
 
 import pytest
 
-from permsing import Permutation, PermutationGroup, branch_components, classify, group_from_name
+from permsing import Permutation, PermutationGroup, certify, classify, group_from_name
 
 from helpers import (
     all_subgroups,
+    elements,
     scan_all_even,
     scan_branch_components,
     scan_nonfree_bound,
@@ -42,9 +44,12 @@ def relabellings(n: int, count: int) -> list[Permutation]:
 def assert_matches_scans(G: PermutationGroup) -> None:
     transpositions, branches, even = scan_transpositions(G), scan_branch_components(G), scan_all_even(G)
     assert G.transpositions() == transpositions
-    assert branch_components(G) == branches
+    assert G.transposition_classes() == branches
     assert G.all_even() == even
+    inv = G.invariants()
+    assert inv == (G.n, len(elements(G)), branches, even, scan_nonfree_bound(G))
     report = classify(G, 3)
+    assert report == certify(3, inv)
     assert report.group_order == G.order
     assert report.has_transposition == bool(transpositions)
     assert report.gorenstein.branch_component_count == branches
@@ -92,4 +97,16 @@ def test_invariants_match_sympy():
         assert {t.cycles()[0] for t in G.transpositions()} == {
             (t.cyclic_form[0][0] + 1, t.cyclic_form[0][1] + 1) for t in swaps
         }
-        assert branch_components(G) == len({frozenset(ref.conjugacy_class(t)) for t in swaps})
+        assert G.transposition_classes() == len({frozenset(ref.conjugacy_class(t)) for t in swaps})
+
+
+def test_psl_2_59_on_the_projective_line():
+    # z -> z + 1 and z -> -1/z on P^1(F_59): the points of F_59 are 1..59 and
+    # infinity is 60.  As 59 = 3 (mod 4), every involution is fixed-point
+    # free with 30 two-cycles; every other non-identity element has at most
+    # 20 cycles.
+    q = 59
+    shift = Permutation([(z + 1) % q + 1 for z in range(q)] + [q + 1])
+    invert = Permutation([q + 1] + [-pow(z, -1, q) % q + 1 for z in range(1, q)] + [1])
+    G = PermutationGroup.from_generators([shift, invert], q + 1)
+    assert G.invariants() == (60, 102660, 0, True, 30)

@@ -1,7 +1,9 @@
-"""Permutation parsing, group closure, and branch-divisor data."""
+"""Permutation parsing, group closure, and the group invariants."""
 
+import ast
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,14 +11,12 @@ from permsing import (
     GorensteinReport,
     Permutation,
     PermutationGroup,
-    branch_components,
-    fixed_space_dimension,
-    gorenstein_report,
+    classify,
     group_from_name,
-    is_pseudo_reflection,
     parse_generators,
     parse_permutation,
 )
+from permsing import perm
 from permsing.perm import CycleParseError
 
 from helpers import elements, fixed_dim_rank_mod_p, fixed_dim_rank_Q, transposition_distances
@@ -140,9 +140,9 @@ def test_lagrange_for_small_degrees():
 # fixed spaces and pseudo-reflections
 
 def test_fixed_space_examples():
-    assert fixed_space_dimension(Permutation.identity(5)) == 5
-    assert fixed_space_dimension(parse_permutation("(1 2)", 4)) == 3
-    assert fixed_space_dimension(parse_permutation("(1 2 3)", 3)) == 1
+    assert Permutation.identity(5).cycle_count() == 5
+    assert parse_permutation("(1 2)", 4).cycle_count() == 3
+    assert parse_permutation("(1 2 3)", 3).cycle_count() == 1
 
 
 def test_fixed_space_matches_matrix_rank_small():
@@ -150,7 +150,7 @@ def test_fixed_space_matches_matrix_rank_small():
     for n in range(2, 6):
         for images in itertools.permutations(range(1, n + 1)):
             g = Permutation(images)
-            expect = fixed_space_dimension(g)
+            expect = g.cycle_count()
             assert fixed_dim_rank_Q(g) == expect
             assert fixed_dim_rank_mod_p(g, 2) == expect
             assert fixed_dim_rank_mod_p(g, 3) == expect
@@ -160,15 +160,17 @@ def test_fixed_space_equals_degree_minus_transposition_distance():
     for n in range(2, 7):
         dist = transposition_distances(n)
         for images, steps in dist.items():
-            assert fixed_space_dimension(Permutation(images)) == n - steps
+            assert Permutation(images).cycle_count() == n - steps
 
 
 def test_pseudo_reflection_examples():
-    assert is_pseudo_reflection(parse_permutation("(1 2)", 4))
-    assert not is_pseudo_reflection(parse_permutation("(1 2)(3 4)", 4))
-    assert not is_pseudo_reflection(parse_permutation("(1 2 3)", 3))
-    with pytest.raises(ValueError):
-        is_pseudo_reflection(Permutation.identity(3))
+    # a pseudo-reflection fixes a hyperplane: the rank count is n - 1
+    assert fixed_dim_rank_Q(parse_permutation("(1 2)", 4)) == 3
+    assert fixed_dim_rank_Q(parse_permutation("(1 2)(3 4)", 4)) == 2
+    assert fixed_dim_rank_Q(parse_permutation("(1 2 3)", 3)) == 1
+    assert parse_permutation("(1 2)", 4).is_transposition()
+    assert not parse_permutation("(1 2)(3 4)", 4).is_transposition()
+    assert not Permutation.identity(3).is_transposition()
 
 
 def test_pseudo_reflection_iff_transposition():
@@ -177,11 +179,11 @@ def test_pseudo_reflection_iff_transposition():
             g = Permutation(images)
             if g.is_identity():
                 continue
-            assert is_pseudo_reflection(g) == g.is_transposition()
+            assert (fixed_dim_rank_Q(g) == n - 1) == g.is_transposition()
 
 
 # ---------------------------------------------------------------------------
-# transpositions and branch components
+# transpositions and their conjugacy classes
 
 def test_transpositions_examples():
     assert {g.images for g in PermutationGroup.symmetric(3).transpositions()} == {
@@ -195,9 +197,9 @@ def test_transpositions_examples():
 
 
 def test_branch_components_examples():
-    assert branch_components(PermutationGroup.symmetric(3)) == 1
-    assert branch_components(PermutationGroup.klein_four(4)) == 0
-    assert branch_components(PermutationGroup.from_text("(1 2);(3 4)", 4)) == 2
+    assert PermutationGroup.symmetric(3).transposition_classes() == 1
+    assert PermutationGroup.klein_four(4).transposition_classes() == 0
+    assert PermutationGroup.from_text("(1 2);(3 4)", 4).transposition_classes() == 2
 
 
 def test_branch_components_zero_iff_no_transpositions():
@@ -209,8 +211,8 @@ def test_branch_components_zero_iff_no_transpositions():
         PermutationGroup.trivial(4),
     ]:
         has = len(G.transpositions()) > 0
-        assert (branch_components(G) > 0) == has
-        report = gorenstein_report(G, 5)
+        assert (G.transposition_classes() > 0) == has
+        report = classify(G, 5).gorenstein
         assert (report.boundary_coefficient is not None) == has
 
 
@@ -218,7 +220,7 @@ def test_branch_components_zero_iff_no_transpositions():
 # Gorenstein reports
 
 def test_gorenstein_s2_odd_characteristic():
-    r = gorenstein_report(PermutationGroup.symmetric(2), 3)
+    r = classify(PermutationGroup.symmetric(2), 3).gorenstein
     assert r.kx_index_divides == 2
     assert r.boundary_coefficient == Fraction(1, 2)
     assert r.b_cartier_index_divides == 2
@@ -226,7 +228,7 @@ def test_gorenstein_s2_odd_characteristic():
 
 
 def test_gorenstein_s2_char_two():
-    r = gorenstein_report(PermutationGroup.symmetric(2), 2)
+    r = classify(PermutationGroup.symmetric(2), 2).gorenstein
     assert r.kx_index_divides == 1
     assert r.boundary_coefficient == Fraction(1)
     assert r.b_cartier_index_divides == 1
@@ -244,7 +246,7 @@ def test_gorenstein_a3_char_five():
             if g(i) > g(j)
         )
         assert inversions % 2 == 0
-    r = gorenstein_report(G, 5)
+    r = classify(G, 5).gorenstein
     assert r.kx_index_divides == 1
     assert r.boundary_coefficient is None
     assert r.b_cartier_index_divides is None
@@ -253,9 +255,9 @@ def test_gorenstein_a3_char_five():
 
 def test_gorenstein_characteristic_validation():
     with pytest.raises(ValueError):
-        gorenstein_report(PermutationGroup.symmetric(2), 4)
+        classify(PermutationGroup.symmetric(2), 4)
     with pytest.raises(ValueError):
-        gorenstein_report(PermutationGroup.symmetric(2), -3)
+        classify(PermutationGroup.symmetric(2), -3)
 
 
 def test_gorenstein_report_invariants_enforced():
@@ -277,13 +279,13 @@ def test_conjugation_invariance_of_branch_data():
         PermutationGroup.cyclic(4),
     ]
     for G in groups:
-        expected = branch_components(G)
-        expected_report = gorenstein_report(G, 3)
+        expected = G.transposition_classes()
+        expected_report = classify(G, 3).gorenstein
         for images in itertools.permutations(range(1, 5)):
             s = Permutation(images)
             H = G.conjugate_by(s)
-            assert branch_components(H) == expected
-            assert gorenstein_report(H, 3) == expected_report
+            assert H.transposition_classes() == expected
+            assert classify(H, 3).gorenstein == expected_report
 
 
 # ---------------------------------------------------------------------------
@@ -388,3 +390,26 @@ def test_preset_generators_are_the_parsed_cycles():
                     parse_permutation("(1 2)(3 4)", n),
                     parse_permutation("(1 3)(2 4)", n),
                 )
+
+
+# ---------------------------------------------------------------------------
+# layering: perm.py is group theory only
+
+
+def test_perm_module_imports_no_verdict_code():
+    tree = ast.parse(Path(perm.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "permsing." + base if base else "permsing"
+            imported.add(base)
+            imported.update(f"{base}.{alias.name}" for alias in node.names)
+    forbidden = ("fractions", "dataclasses") + tuple(
+        f"permsing.{name}" for name in ("primes", "classify", "strata")
+    )
+    hits = {name for name in imported for bad in forbidden if (name + ".").startswith(bad + ".")}
+    assert not hits
