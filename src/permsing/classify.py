@@ -152,8 +152,9 @@ def _fmt_partition(nu: Optional[tuple[int, ...]]) -> str:
 
 
 def classify(group: PermutationGroup, p: int) -> ClassificationReport:
-    """Classify the quotient of affine n-space by a permutation group."""
-    return certify(p, group.invariants())
+    """Classify the quotient of affine n-space by a permutation group; a bad
+    characteristic is rejected before the group's invariants are read."""
+    return certify(validate_characteristic(p), group.invariants())
 
 
 def _check_invariants(inv: GroupInvariants) -> None:

@@ -28,7 +28,6 @@ from .oracle import (
     verify_dimension_growth,
 )
 from .perm import PermutationGroup, group_from_name
-from .primes import validate_characteristic
 from .strata import (
     dim_connected,
     enumerate_strata,
@@ -38,8 +37,9 @@ from .strata import (
 )
 
 MAX_SUP_N = 100_000  # worst_partition has about n entries
-# classify --n: the slowest known element walks take 1.1-1.4 s (AGL(1,8)^3, n = 64)
-# and 0.6-0.7 s (PSL(2,59), n = 60) on a 2-vCPU Intel Xeon with Python 3.11
+# classify --n: the order cap bounds the chain build and the element walk that
+# the non-free bound falls back to; at n = 64, classify of C2^17 on 32 point pairs
+# walks in 1.2-1.4 s, and a build takes a few ms (2-vCPU Intel Xeon, Python 3.11)
 MAX_DEGREE = 64
 MAX_STRATA_SIZE = 32  # strata --n + --d: the shape count grows exponentially
 MAX_TABLE_CELLS = 100_000  # table --max-n * (--max-d + 1)
@@ -107,8 +107,7 @@ def _cmd_classify(args) -> Record:
         group = PermutationGroup.from_text(args.group, args.n)
     else:
         group = group_from_name(args.group_name, args.n)
-    # reject a bad --p before the invariants, which can take a second at n = 64
-    report = classify(group, validate_characteristic(args.p))
+    report = classify(group, args.p)
     gor = report.gorenstein
     keys = ("has_transposition", "canonical", "pair_klt", "pair_lc", "stringy_dim_bound")
     lines = [

@@ -15,9 +15,9 @@ conjugacy classes of transpositions, evenness, and the largest cycle count of
 a non-identity element.  Evenness is read from the generators; the
 transpositions are the swaps within a generator orbit that pass a membership
 test, and their classes are orbits of point pairs under the generators.  The
-largest cycle count tests the swaps, 3-cycles and double transpositions by
-membership too, and walks the elements only when that is cheaper, none of them
-is in G, or |G| is prime to 6, so that G holds none of them.
+largest cycle count is n - 1 if G has a transposition.  Otherwise it comes
+from a fixed-point reduction over point stabilizers read off stabilizer chains,
+and from a walk of the elements only when the stabilizers would cost more.
 """
 
 from __future__ import annotations
@@ -293,9 +293,10 @@ class PermutationGroup:
     def transpositions(self) -> list[Permutation]:
         """The transpositions in G, sorted: swaps of two points in one G-orbit
         that pass the membership test."""
+        gens = [g._images for g in self.generators]
         swaps = (
             _cycle_images(self.n, [pair])
-            for orbit in self._point_orbits()
+            for orbit in _orbits(range(self.n), gens, tuple.__getitem__)
             for pair in itertools.combinations(orbit, 2)
         )
         return sorted(Permutation._valid(t) for t in swaps if self._sifts(t))
@@ -314,66 +315,61 @@ class PermutationGroup:
     def invariants(self) -> GroupInvariants:
         """The invariants of G, each computed once."""
         classes, even = self.transposition_classes(), self.all_even()
-        return GroupInvariants(self.n, self.order, classes, even, self.max_cycle_count())
+        nonfree = self.n - 1 if classes else self._max_cycle_count()
+        return GroupInvariants(self.n, self.order, classes, even, nonfree)
 
-    def max_cycle_count(self) -> Optional[int]:
-        """The largest cycle count (fixed points included) of a non-identity
-        element; None for the trivial group.
+    def _max_cycle_count(self) -> Optional[int]:
+        """The largest cycle count of a non-identity element of G, which has
+        no transposition; None for the trivial group.
 
-        A power of an element has at least as many cycles, so the count is
-        reached at an element of prime order r, with n - k(r - 1) cycles for
-        its k r-cycles.  If the least prime r dividing |G| is at least 5, the
-        elements are walked up to the ceiling n - (r - 1) at once.  Otherwise
-        the count is n - 1 exactly for transpositions and n - 2 exactly for
-        3-cycles and double transpositions, whose points lie in one generator
-        orbit.  Those are tested by membership in that order, and the walk
-        runs only when none is in G or |G| is not larger than their number.
+        For H != 1 fixing F points, with n' = n - F and r the least prime
+        dividing |H|, it is the larger of F + n'//r and its value on H_x for
+        one x per non-trivial H-orbit: an element fixing a point there is
+        conjugate into H_x, one fixing none has at most the cycles of a power
+        of prime order r' >= r, F + n'/r' unless that power fixes a point, and
+        one of order r has F + n'//r cycles or lies in some H_x.  H_x is the
+        tail of H's chain, rebuilt on the base prefix (x,) unless x is its
+        first base point; as a pointwise stabilizer it is determined by its
+        moved points, so it is visited once.  The search stops at
+        n - max(2, r - 1) for r of G.  It gives way to the element walk after
+        16 + |G|/128 rebuilds, since the stabilizers can outnumber the
+        elements (C2^k moving pairs of points in general position).
         """
-        order = self.order
-        r = next((q for q in range(2, math.isqrt(order) + 1) if order % q == 0), order)
-        if r >= 5:
-            return self._max_cycle_count_by_walk(self.n - (r - 1))
-        sizes = [len(o) for o in self._point_orbits()]
-        swaps = sum(math.comb(m, 2) for m in sizes)
-        candidates = (
-            swaps
-            + sum(2 * math.comb(m, 3) for m in sizes)
-            # pairs of disjoint swaps: all pairs, less those sharing a point
-            + math.comb(swaps, 2)
-            - sum(m * math.comb(m - 1, 2) for m in sizes)
-        )
-        if order <= candidates:
-            return self._max_cycle_count_by_walk(self.n - 1)
-        return self._max_cycle_count_by_membership()
-
-    def _max_cycle_count_by_membership(self) -> Optional[int]:
         n = self.n
-        orbits = self._point_orbits()
-        swaps = [pair for o in orbits for pair in itertools.combinations(o, 2)]
-        if any(self._sifts(_cycle_images(n, [pair])) for pair in swaps):
-            return n - 1
-        three_cycles = (
-            cycle
-            for o in orbits
-            for a, b, c in itertools.combinations(o, 3)
-            for cycle in ((a, b, c), (a, c, b))
-        )
-        double_transpositions = (
-            [p, q] for p, q in itertools.combinations(swaps, 2) if not set(p) & set(q)
-        )
-        if any(self._sifts(_cycle_images(n, [c])) for c in three_cycles) or any(
-            self._sifts(_cycle_images(n, pq)) for pq in double_transpositions
-        ):
-            return n - 2
-        return self._max_cycle_count_by_walk(n - 3)
+        ceiling = n - max(2, _least_prime_factor(self.order) - 1)
+        best, seen = 0, set()
+        rebuilds = 16 + self.order // 128
+
+        def visit(gens, base, trans):
+            nonlocal best, rebuilds
+            orbits = [o for o in _orbits(range(n), gens, tuple.__getitem__) if len(o) > 1]
+            moved = frozenset().union(*orbits)
+            if not moved or moved in seen:
+                return
+            seen.add(moved)
+            r = _least_prime_factor(math.prod(len(t) for t in trans))
+            best = max(best, n - len(moved) + len(moved) // r)
+            for orbit in orbits:
+                if best >= ceiling or rebuilds < 0:
+                    return
+                if base[0] in orbit:
+                    sub_base, sub_trans = base, trans
+                else:
+                    rebuilds -= 1
+                    sub_base, sub_trans = _schreier_sims(gens, n, (min(orbit),))
+                tail = sub_trans[1:]
+                visit([u for t in tail for u, _ in t.values()], sub_base[1:], tail)
+
+        visit([g._images for g in self.generators], self._base, self._transversals)
+        if rebuilds < 0:
+            return self._max_cycle_count_by_walk(ceiling)
+        return best or None
 
     def _max_cycle_count_by_walk(self, ceiling: int) -> Optional[int]:
-        """Walk every element, as a product of one transversal representative
-        per level, stopping early once a count reaches the ceiling."""
+        """Walk every element of G != 1, as a product of one transversal
+        representative per level, stopping once a count reaches the ceiling."""
         n = self.n
         levels = [[u for u, _ in t.values()] for t in self._transversals]
-        if not levels:
-            return None
         best = None
         last = [itemgetter(*u) for u in levels[-1]]  # n >= 2 here
         for prefix in _prefix_products(levels[:-1], tuple(range(n))):
@@ -384,11 +380,6 @@ class PermutationGroup:
                     if best >= ceiling:
                         return best
         return best
-
-    def _point_orbits(self) -> list[list[int]]:
-        """The orbits of G on the 0-based points, each sorted."""
-        gens = [g._images for g in self.generators]
-        return [sorted(o) for o in _orbits(range(self.n), gens, tuple.__getitem__)]
 
 
 def _orbits(points: Iterable, generators: Sequence[Permutation], image: Callable) -> list[set]:
@@ -458,7 +449,12 @@ def _prefix_products(levels: list[list], prefix: tuple[int, ...]):
         yield from _prefix_products(levels[1:], _compose(prefix, u))
 
 
-def _schreier_sims(gens: list[tuple[int, ...]], n: int) -> tuple[list[int], list[dict]]:
+def _least_prime_factor(m: int) -> int:
+    """The least prime dividing m > 1, by trial division."""
+    return next((q for q in range(2, math.isqrt(m) + 1) if m % q == 0), m)
+
+
+def _schreier_sims(gens: list[tuple], n: int, prefix: tuple = ()) -> tuple[list[int], list[dict]]:
     """Base and transversals of the group the 0-based image tuples generate,
     by deterministic Schreier-Sims (Holt, Eick and O'Brien, Handbook of
     Computational Group Theory, 4.4.2).
@@ -470,12 +466,13 @@ def _schreier_sims(gens: list[tuple[int, ...]], n: int) -> tuple[list[int], list
     a strong generator (on a new base point if it fixes the whole base), and
     the check resumes at the deepest level it joined.  The product of the
     orbit sizes is a lower bound on |G| throughout, so the build stops as
-    soon as it exceeds MAX_GROUP_ORDER.
+    soon as it exceeds MAX_GROUP_ORDER.  The base starts with the points of
+    prefix, whose levels may be trivial.
     """
     identity = tuple(range(n))
-    base: list[int] = []
-    strong: list[list[tuple]] = []
-    trans: list[dict] = []
+    base: list[int] = list(prefix)
+    strong: list[list[tuple]] = [[] for _ in base]
+    trans: list[dict] = [{b: (identity, identity)} for b in base]
 
     def add(h, lo, hi):
         if hi == len(base):

@@ -228,7 +228,10 @@ def cycle_text(points) -> str:
 
 
 def test_criterion_12_stabilizer_chain_groups_at_large_degree():
-    description = "A9, S8, C13^4 x C7 at n = 64, an over-the-cap group and a bad p return at once"
+    description = (
+        "A9, S8, C13^4 x C7, AGL(1,8)^3 at n = 64, PSL(2,59), an over-the-cap group"
+        " and a bad p return at once"
+    )
     with criterion(12, description, 1.0):
         for argv in (
             ["classify", "--n", "9", "--p", "2", "--group-name", "A9"],
@@ -247,17 +250,32 @@ def test_criterion_12_stabilizer_chain_groups_at_large_degree():
         argv = ["classify", "--n", "64", "--p", "2", "--group", "(1 2);" + cycle_text(range(1, 65))]
         assert cli.run(argv, out=io.StringIO(), err=err) == 2
         assert "group order exceeds 200000" in err.getvalue()
-        # AGL(1,8)^3 walks its 175,616 elements for the non-free bound; a bad
-        # characteristic is rejected before that
+        # AGL(1,8)^3 (order 175,616): its non-free bound, 60, is an involution
+        # of one factor, found among 26 point stabilizers; a bad characteristic
+        # is rejected before them
         agl = [
             f"({o + 1} {o + 2})({o + 3} {o + 4})({o + 5} {o + 6})({o + 7} {o + 8});"
             + cycle_text(o + x for x in (2, 3, 5, 4, 7, 8, 6))
             for o in (0, 8, 16)
         ]
+        out = io.StringIO()
+        argv = ["classify", "--n", "64", "--p", "3", "--group", ";".join(agl)]
+        assert cli.run(argv, out=out, err=io.StringIO()) == 0
+        assert '"nonfree_locus_dim_bound": 60' in out.getvalue()
         err = io.StringIO()
-        argv = ["classify", "--n", "64", "--p", "4", "--group", ";".join(agl)]
+        argv[4] = "4"
         assert cli.run(argv, out=io.StringIO(), err=err) == 2
         assert "characteristic must be 0 or prime, got 4" in err.getvalue()
+        # PSL(2,59) on the projective line, z -> z + 1 and z -> -1/z (order
+        # 102,660): its fixed-point-free involutions have 30 cycles
+        q = 59
+        shift = Permutation([(z + 1) % q + 1 for z in range(q)] + [q + 1])
+        invert = Permutation([q + 1] + [-pow(z, -1, q) % q + 1 for z in range(1, q)] + [1])
+        out = io.StringIO()
+        argv = ["classify", "--n", "60", "--p", "3", "--group",
+                shift.cycle_string() + ";" + invert.cycle_string()]
+        assert cli.run(argv, out=out, err=io.StringIO()) == 0
+        assert '"nonfree_locus_dim_bound": 30' in out.getvalue()
 
 
 def test_criterion_14_oracles_at_their_caps():

@@ -147,6 +147,17 @@ def test_classify_validates_characteristic():
         classify(PermutationGroup.symmetric(2), 6)
 
 
+def test_classify_rejects_the_characteristic_before_reading_invariants(monkeypatch):
+    G = PermutationGroup.cyclic(3)
+
+    def unreachable(self):
+        raise AssertionError("the invariants must not be read for a bad p")
+
+    monkeypatch.setattr(PermutationGroup, "invariants", unreachable)
+    with pytest.raises(ValueError, match="characteristic must be 0 or prime, got 4"):
+        classify(G, 4)
+
+
 def test_characteristic_above_cap_rejected_before_primality(monkeypatch):
     largest_prime_under_cap = 999_999_999_989
     assert validate_characteristic(largest_prime_under_cap) == largest_prime_under_cap

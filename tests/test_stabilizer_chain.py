@@ -7,6 +7,7 @@ import random
 import pytest
 
 from permsing import Permutation, PermutationGroup, classify, group_from_name
+from permsing import perm
 from permsing.perm import MAX_GROUP_ORDER
 
 from helpers import all_subgroups, elements, scan_nonfree_bound
@@ -152,7 +153,8 @@ def test_order_cap_rejects_exactly_the_groups_above_it():
 
 
 # ---------------------------------------------------------------------------
-# the non-free-locus bound: membership tests or an element walk
+# the non-free-locus bound: a fixed-point reduction over point stabilizers,
+# and the element walk it gives way to past its rebuild budget
 
 NONFREE_CASES = {name: (n, lambda n=n, text=text: PermutationGroup.from_text(text, n))
                  for name, (n, text, _) in GROUPS.items()}
@@ -167,7 +169,7 @@ NONFREE_CASES.update({
     "ccc@23": (23, lambda: PermutationGroup.from_text("(1 2 3)(4 5 6)", 23)),
     "t@24": (24, lambda: PermutationGroup.from_text("(1 2)", 24)),
     "trivial@5": (5, lambda: group_from_name("trivial", 5)),
-    # the 3-cycles lie in the first level of the chain only
+    # the 3-cycles lie in the stabilizer of a point off the first base orbit
     "C3xC5@8": (8, lambda: PermutationGroup.from_text("(1 2 3);(4 5 6 7 8)", 8)),
 })
 
@@ -176,38 +178,22 @@ def not_taken(*args):
     raise AssertionError("this path should not run")
 
 
+def assert_nonfree_bound(G: PermutationGroup, monkeypatch) -> None:
+    """The walk, and the reduction without it, give the element scan's bound."""
+    expected = scan_nonfree_bound(G)
+    if G.order > 1:
+        assert G._max_cycle_count_by_walk(G.n - 1) == expected
+    monkeypatch.setattr(PermutationGroup, "_max_cycle_count_by_walk", not_taken)
+    assert G.invariants().max_cycle_count == expected
+    assert classify(G, 3).nonfree_locus_dim_bound == expected
+
+
 @pytest.mark.parametrize("name", NONFREE_CASES)
 def test_both_nonfree_paths_match_the_element_scan(name, monkeypatch):
-    n, build = NONFREE_CASES[name]
-    G = build()
-    expected = scan_nonfree_bound(G)
-    assert G.max_cycle_count() == expected
-    assert G._max_cycle_count_by_walk(n - 1) == expected
-    if expected is not None and expected >= n - 2:
-        # a swap, 3-cycle or double transposition is found without a walk
-        monkeypatch.setattr(PermutationGroup, "_max_cycle_count_by_walk", not_taken)
-    assert G._max_cycle_count_by_membership() == expected
+    assert_nonfree_bound(NONFREE_CASES[name][1](), monkeypatch)
 
 
-WALKED = [
-    "klein4@21", "cyclic:12@21", "cyclic:3@14", "tt@21", "ccc@23", "AGL(1,8)", "AGL(1,7)",
-    "C3xC5@8",
-]
-SIFTED = ["A7", "A8", "A4xA4", "S8", "t@24"]
-
-
-@pytest.mark.parametrize("name", WALKED + SIFTED)
-def test_nonfree_path_follows_order_against_candidates(name, monkeypatch):
-    G = NONFREE_CASES[name][1]()
-    expected = scan_nonfree_bound(G)
-    if name in WALKED:
-        monkeypatch.setattr(PermutationGroup, "_max_cycle_count_by_membership", not_taken)
-    else:
-        monkeypatch.setattr(PermutationGroup, "_max_cycle_count_by_walk", not_taken)
-    assert G.max_cycle_count() == expected
-
-
-# groups whose order is prime to 6: the walk runs at once, up to the ceiling
+# groups whose order is prime to 6: the reduction stops at the ceiling
 # n - (r - 1) for the least prime r dividing |G|
 ODD_ORDER_CASES = {
     "C3xC5@8": (8, lambda: PermutationGroup.from_text("(1 2 3);(4 5 6 7 8)", 8)),
@@ -224,12 +210,63 @@ ODD_ORDER_CASES = {
 
 @pytest.mark.parametrize("name", ODD_ORDER_CASES)
 def test_nonfree_bound_of_odd_order_groups_matches_the_full_walk(name, monkeypatch):
-    n, build = ODD_ORDER_CASES[name]
-    G = build()
+    G = ODD_ORDER_CASES[name][1]()
     assert G.order % 2 == 1
-    expected = G._max_cycle_count_by_walk(n - 1)
-    assert expected == scan_nonfree_bound(G)
-    if G.order % 3:
-        monkeypatch.setattr(PermutationGroup, "_max_cycle_count_by_membership", not_taken)
-    assert G.max_cycle_count() == expected
-    assert classify(G, 3).nonfree_locus_dim_bound == expected
+    assert_nonfree_bound(G, monkeypatch)
+
+
+def random_cycle_product(rng: random.Random, n: int) -> Permutation:
+    """A product of disjoint cycles of one random length, at least two of them
+    if they are swaps, on random points of 1..n."""
+    length = rng.randint(2, min(5, n))
+    most = n // length
+    count = 1 if most < 2 else rng.randint(2 if length == 2 else 1, most)
+    points = rng.sample(range(1, n + 1), length * count)
+    images = list(range(1, n + 1))
+    for c in range(count):
+        cycle = points[c * length:(c + 1) * length]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            images[a - 1] = b
+    return Permutation(images)
+
+
+def test_nonfree_reduction_matches_the_scan_on_random_transposition_free_groups(monkeypatch):
+    rng = random.Random(12)
+    groups = []
+    while len(groups) < 300:
+        n = rng.randint(3, 11)
+        gens = [random_cycle_product(rng, n) for _ in range(rng.randint(2, 3))]
+        try:
+            G = PermutationGroup.from_generators(gens, n)
+        except ValueError:  # order above MAX_GROUP_ORDER
+            continue
+        if G.order <= 5000 and not G.transpositions():
+            groups.append(G)
+    assert len({G.order for G in groups}) > 30
+    monkeypatch.setattr(PermutationGroup, "_max_cycle_count_by_walk", not_taken)
+    for G in groups:
+        assert G.invariants().max_cycle_count == scan_nonfree_bound(G), G
+
+
+def code_group(pairs: int, dim: int, seed: int) -> PermutationGroup:
+    """C2^dim moving 2 * pairs points: generator i swaps pair j when bit i of
+    a seeded random vector f_j is set.  Its pointwise stabilizers are the
+    subspaces cut out by the f_j, which outnumber its elements."""
+    rng = random.Random(seed)
+    vectors = [rng.randrange(1, 2**dim) for _ in range(pairs)]
+    gens = ["".join(f"({2 * j + 1} {2 * j + 2})" for j, f in enumerate(vectors) if f >> i & 1)
+            for i in range(dim)]
+    return PermutationGroup.from_text(";".join(gens), 2 * pairs)
+
+
+def test_nonfree_reduction_gives_way_to_the_walk_past_its_rebuild_budget(monkeypatch):
+    G = code_group(18, 9, 1)
+    assert (G.n, G.order, G.transposition_classes()) == (36, 512, 0)
+    rebuilds, walks = [], []
+    schreier_sims, walk = perm._schreier_sims, PermutationGroup._max_cycle_count_by_walk
+    monkeypatch.setattr(perm, "_schreier_sims", lambda *a: rebuilds.append(a) or schreier_sims(*a))
+    monkeypatch.setattr(
+        PermutationGroup, "_max_cycle_count_by_walk", lambda *a: walks.append(a) or walk(*a)
+    )
+    assert G.invariants().max_cycle_count == scan_nonfree_bound(G) == 33
+    assert len(rebuilds) == 16 + 512 // 128 + 1 and len(walks) == 1
