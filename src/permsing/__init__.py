@@ -24,7 +24,6 @@ from .oracle import (
     ASQuotient,
     DimensionGrowthCheck,
     as_class_count,
-    discriminant_of_jump,
     tame_totally_ramified_count,
     verify_dimension_growth,
 )
@@ -37,8 +36,6 @@ from .perm import (
     parse_permutation,
 )
 from .strata import (
-    ComponentSup,
-    DeltaSet,
     GlobalSup,
     StratumShape,
     dim_connected,
@@ -61,8 +58,6 @@ __all__ = [
     "UNKNOWN",
     "ASQuotient",
     "ClassificationReport",
-    "ComponentSup",
-    "DeltaSet",
     "DimensionGrowthCheck",
     "ExtHalf",
     "GF",
@@ -79,7 +74,6 @@ __all__ = [
     "classify",
     "dim_connected",
     "dim_cyclic_cubic_galois",
-    "discriminant_of_jump",
     "enumerate_strata",
     "global_sup",
     "group_from_name",

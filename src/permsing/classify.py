@@ -17,7 +17,6 @@ trace of rule applications carrying stable anchor identifiers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .halfint import ExtHalf
@@ -71,19 +70,19 @@ class GorensteinReport:
     """
 
     kx_index_divides: int
-    boundary_coefficient: Optional[Fraction]
+    boundary_coefficient: Optional[ExtHalf]
     b_cartier_index_divides: Optional[int]
     branch_component_count: int
 
     def __post_init__(self):
         if self.kx_index_divides not in (1, 2):
             raise ValueError("kx_index_divides must be 1 or 2")
-        coeff = self.boundary_coefficient
-        if coeff is not None and coeff not in (Fraction(1), Fraction(1, 2)):
-            raise ValueError(f"boundary coefficient must be 1 or 1/2, got {coeff}")
+        coeff, allowed = self.boundary_coefficient, (ExtHalf(1), ExtHalf.half(1))
+        if coeff is not None and not (isinstance(coeff, ExtHalf) and coeff in allowed):
+            raise ValueError(f"boundary coefficient must be the ExtHalf 1 or 1/2, got {coeff!r}")
         if (coeff is None) != (self.b_cartier_index_divides is None):
             raise ValueError("boundary coefficient and Cartier index must be absent together")
-        if coeff is not None and self.b_cartier_index_divides != coeff.denominator:
+        if coeff is not None and self.b_cartier_index_divides != (1 if coeff == 1 else 2):
             raise ValueError("Cartier index must mirror the coefficient denominator")
         if (self.branch_component_count == 0) != (coeff is None):
             raise ValueError("coefficient is absent exactly when there is no branch divisor")
@@ -92,9 +91,7 @@ class GorensteinReport:
         coeff = self.boundary_coefficient
         return {
             "kx_index_divides": self.kx_index_divides,
-            "boundary_coefficient": None
-            if coeff is None
-            else {"num": coeff.numerator, "den": coeff.denominator},
+            "boundary_coefficient": None if coeff is None else coeff.as_json()["value"],
             "b_cartier_index_divides": self.b_cartier_index_divides,
             "branch_component_count": self.branch_component_count,
         }
@@ -199,7 +196,7 @@ def certify(p: int, inv: GroupInvariants) -> ClassificationReport:
     coeff = b_index = None
     if has_t:
         b_index = 1 if p == 2 else 2
-        coeff = Fraction(1, b_index)
+        coeff = ExtHalf(1) if p == 2 else ExtHalf.half(1)
     gor = GorensteinReport(1 if p == 2 or inv.all_even else 2, coeff, b_index, classes)
     gs = global_sup(n, p, transposition_free=not has_t)
     tf_ok = gs.sup <= ExtHalf(-1)
@@ -222,7 +219,7 @@ def certify(p: int, inv: GroupInvariants) -> ClassificationReport:
         trace.append(
             TraceEntry(
                 ANCHOR_BOUNDARY_COEFFICIENT,
-                f"boundary has {classes} component(s), each with coefficient {coeff}",
+                f"boundary has {classes} component(s), each with coefficient {coeff.as_text()}",
             )
         )
         trace.append(TraceEntry(ANCHOR_B_CARTIER_INDEX, f"{b_index}*B is Cartier"))
@@ -276,8 +273,8 @@ def certify(p: int, inv: GroupInvariants) -> ClassificationReport:
     else:
         # lc = TRUE always, so the pair bound is klt's when klt holds and lc's otherwise
         level = "klt" if klt == TRUE else "lc"
-        base = Fraction(-1) + (Fraction(1, b_index) if level == "klt" else 0)
-        bound = ExtHalf(base + coeff)
+        # the klt bound is -1 + 1/b_index, and 1/b_index is the coefficient
+        bound = ExtHalf(-1) + (coeff if level == "klt" else 0) + coeff
         trace.append(
             TraceEntry(
                 ANCHOR_DISCREPANCY_REDUCTION,

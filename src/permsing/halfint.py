@@ -1,17 +1,13 @@
 """Exact half-integers extended with negative infinity.
 
 All dimension bounds in this package live in (1/2)Z ∪ {-oo}.  Verdicts hinge
-on exact comparisons against -1 and 0, so the value domain is implemented with
-integer numerators (denominator 1 or 2) and no floating point anywhere.
+on exact comparisons against -1 and 0, so a value is stored as twice itself,
+an int, with None for -oo: no floating point and no rationals anywhere.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import total_ordering
-from typing import Union
-
-Halfable = Union[int, Fraction, "ExtHalf"]
 
 
 @total_ordering
@@ -19,125 +15,107 @@ class ExtHalf:
     """A rational with denominator dividing 2, or the symbol -oo.
 
     Addition absorbs -oo; the order is total with -oo strictly minimal.
-    Instances are immutable and hashable.
+    Instances are immutable and hashable.  They combine and compare with ints
+    and with any rational that has numerator and denominator.
     """
 
-    __slots__ = ("_value",)
+    __slots__ = ("_twice",)
 
-    def __init__(self, value: Union[int, Fraction, None]):
+    def __init__(self, value):
+        """ExtHalf(None) is -oo; otherwise value is an int or a rational."""
         if value is not None:
-            value = Fraction(value)
-            if value.denominator not in (1, 2):
+            twice, rest = divmod(2 * value.numerator, value.denominator)
+            if rest:
                 raise ValueError(f"not a half-integer: {value}")
-        object.__setattr__(self, "_value", value)
+            value = twice
+        object.__setattr__(self, "_twice", value)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtHalf is immutable")
 
     @classmethod
-    def neg_inf(cls) -> "ExtHalf":
-        return cls(None)
-
-    @classmethod
     def half(cls, numerator: int) -> "ExtHalf":
         """The value numerator/2."""
-        return cls(Fraction(numerator, 2))
+        out = cls.__new__(cls)
+        object.__setattr__(out, "_twice", numerator)
+        return out
 
     @property
     def is_finite(self) -> bool:
-        return self._value is not None
+        return self._twice is not None
 
-    @property
-    def value(self) -> Fraction:
-        """The finite value; raises on -oo."""
-        if self._value is None:
-            raise ValueError("-oo has no finite value")
-        return self._value
-
-    @staticmethod
-    def _coerce(other: Halfable) -> "ExtHalf":
-        if isinstance(other, ExtHalf):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ExtHalf(other)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other: Halfable) -> "ExtHalf":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self._value is None or other._value is None:
+    def _plus(self, other, sign: int):
+        if not isinstance(other, ExtHalf):
+            if not hasattr(other, "denominator"):
+                return NotImplemented
+            other = ExtHalf(other)
+        if other._twice is None:
+            if sign < 0:
+                raise ValueError("cannot subtract -oo")
             return NEG_INF
-        return ExtHalf(self._value + other._value)
+        if self._twice is None:
+            return NEG_INF
+        return ExtHalf.half(self._twice + sign * other._twice)
+
+    def __add__(self, other) -> "ExtHalf":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
-    def __sub__(self, other: Halfable) -> "ExtHalf":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other._value is None:
-            raise ValueError("cannot subtract -oo")
-        if self._value is None:
-            return NEG_INF
-        return ExtHalf(self._value - other._value)
+    def __sub__(self, other) -> "ExtHalf":
+        return self._plus(other, -1)
 
     def __neg__(self) -> "ExtHalf":
-        if self._value is None:
+        if self._twice is None:
             raise ValueError("cannot negate -oo")
-        return ExtHalf(-self._value)
+        return ExtHalf.half(-self._twice)
+
+    def _cmp(self, other):
+        """The sign of self - other: -1, 0 or 1, with -oo below every value."""
+        if isinstance(other, ExtHalf):
+            twice, den = other._twice, 1
+        elif hasattr(other, "denominator"):
+            # any rational compares exactly, half-integral or not
+            twice, den = 2 * other.numerator, other.denominator
+        else:
+            return NotImplemented
+        mine = self._twice
+        if mine is None or twice is None:
+            return (mine is not None) - (twice is not None)
+        mine *= den
+        return (mine > twice) - (mine < twice)
 
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._value == other._value
+        c = self._cmp(other)
+        return c if c is NotImplemented else c == 0
 
     def __lt__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self._value is None:
-            return other._value is not None
-        if other._value is None:
-            return False
-        return self._value < other._value
+        c = self._cmp(other)
+        return c if c is NotImplemented else c < 0
 
     def __hash__(self) -> int:
-        return hash(("ExtHalf", self._value))
+        return hash(self._twice)
 
     def __repr__(self) -> str:
         return f"ExtHalf({self.as_text()})"
 
     def as_text(self) -> str:
         """Render as "-inf", an integer, or a reduced fraction "a/2"."""
-        if self._value is None:
+        if self._twice is None:
             return "-inf"
-        if self._value.denominator == 1:
-            return str(self._value.numerator)
-        return f"{self._value.numerator}/2"
+        if self._twice % 2 == 0:
+            return str(self._twice // 2)
+        return f"{self._twice}/2"
 
     def as_json(self) -> dict:
         """JSON form: {"finite": bool, "value": {"num", "den"} | null}."""
-        if self._value is None:
+        if self._twice is None:
             return {"finite": False, "value": None}
-        return {
-            "finite": True,
-            "value": {"num": self._value.numerator, "den": self._value.denominator},
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ExtHalf":
-        if not data["finite"]:
-            return NEG_INF
-        return cls(Fraction(data["value"]["num"], data["value"]["den"]))
-
-    @classmethod
-    def from_text(cls, text: str) -> "ExtHalf":
-        text = text.strip()
-        if text == "-inf":
-            return NEG_INF
-        return cls(Fraction(text))
+        if self._twice % 2 == 0:
+            value = {"num": self._twice // 2, "den": 1}
+        else:
+            value = {"num": self._twice, "den": 2}
+        return {"finite": True, "value": value}
 
 
 NEG_INF = ExtHalf(None)
@@ -150,12 +128,3 @@ def ext_sum(values) -> ExtHalf:
     for v in values:
         total = total + v
     return total
-
-
-def ext_max(values) -> ExtHalf:
-    """Maximum of ExtHalf values; empty maximum is -oo."""
-    best = NEG_INF
-    for v in values:
-        if v > best:
-            best = v
-    return best

@@ -233,15 +233,6 @@ def as_class_count(p: int, q: int, jump: int) -> int:
     return ASQuotient(p, q, jump).count_classes_exact_pole(jump)
 
 
-def discriminant_of_jump(p: int, jump: int) -> int:
-    """Discriminant exponent of a degree-p cyclic cover with ramification jump."""
-    if jump < 1:
-        raise ValueError(f"jump must be positive, got {jump}")
-    if jump % p == 0:
-        raise ValueError(f"jump must be prime to p, got jump={jump}, p={p}")
-    return (p - 1) * (jump + 1)
-
-
 @dataclass(frozen=True)
 class DimensionGrowthCheck:
     predicted: ExtHalf

@@ -12,9 +12,9 @@ exceed MAX_GROUP_ORDER (2*10^5).
 `PermutationGroup.invariants()` collects, once, all that the certificate in
 `permsing.classify` reads from G: the degree, the order, the number of
 conjugacy classes of transpositions, evenness, and the largest cycle count of
-a non-identity element.  Evenness is read from the generators; the
-transpositions are the swaps within a generator orbit that pass a membership
-test, and their classes are orbits of point pairs under the generators.  The
+a non-identity element.  Evenness is read from the generators; the classes
+of transpositions are the orbits of the generators on pairs of points in one
+G-orbit whose representative passes a membership test.  The
 largest cycle count is n - 1 if G has a transposition.  Otherwise it comes
 from a fixed-point reduction over point stabilizers read off stabilizer chains,
 and from a walk of the elements only when the stabilizers would cost more.
@@ -290,23 +290,36 @@ class PermutationGroup:
         """The relabelled group s G s^-1, closed from the relabelled generators."""
         return self.from_generators((g.conjugate_by(s) for g in self.generators), self.n)
 
-    def transpositions(self) -> list[Permutation]:
-        """The transpositions in G, sorted: swaps of two points in one G-orbit
-        that pass the membership test."""
+    def _transposition_orbits(self) -> list[set]:
+        """The G-conjugacy classes of transpositions in G, as sets of swapped
+        pairs (i, j) with i < j.  Since g (i j) g^-1 = (g(i) g(j)), a class is
+        an orbit of the generators on pairs of points in one G-orbit, and G
+        holds all of it or none of it: one membership test per orbit decides."""
+
+        def image(g, pair):
+            a, b = g[pair[0]], g[pair[1]]
+            return (a, b) if a < b else (b, a)
+
         gens = [g._images for g in self.generators]
-        swaps = (
-            _cycle_images(self.n, [pair])
+        pairs = (
+            pair
             for orbit in _orbits(range(self.n), gens, tuple.__getitem__)
-            for pair in itertools.combinations(orbit, 2)
+            for pair in itertools.combinations(sorted(orbit), 2)
         )
-        return sorted(Permutation._valid(t) for t in swaps if self._sifts(t))
+        pair_orbits = _orbits(pairs, gens, image)
+        return [o for o in pair_orbits if self._sifts(_cycle_images(self.n, [min(o)]))]
+
+    def transpositions(self) -> list[Permutation]:
+        """The transpositions in G, sorted."""
+        return sorted(
+            Permutation._valid(_cycle_images(self.n, [pair]))
+            for orbit in self._transposition_orbits()
+            for pair in orbit
+        )
 
     def transposition_classes(self) -> int:
-        """The number of G-conjugacy classes of transpositions in G.  Since
-        g (i j) g^-1 = (g(i) g(j)), they are the orbits of the swapped pairs
-        {i, j} under the generators."""
-        pairs = [frozenset(t.cycles()[0]) for t in self.transpositions()]
-        return len(_orbits(pairs, self.generators, lambda g, pair: frozenset(map(g, pair))))
+        """The number of G-conjugacy classes of transpositions in G."""
+        return len(self._transposition_orbits())
 
     def all_even(self) -> bool:
         """G is even exactly when its generators are."""

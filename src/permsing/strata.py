@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional
 
-from .halfint import NEG_INF, ExtHalf, ext_sum
+from .halfint import NEG_INF, ZERO, ExtHalf, ext_sum
 from .primes import validate_characteristic
 
 
@@ -167,74 +166,25 @@ def enumerate_strata(n: int, d: int) -> set[StratumShape]:
     return shapes
 
 
-@dataclass(frozen=True)
-class DeltaSet:
-    """The set of discriminant exponents where a supremum is attained."""
-
-    kind: str  # "empty", "point", or "progression"
-    start: Optional[int] = None
-    step: Optional[int] = None
-
-    @classmethod
-    def empty(cls) -> "DeltaSet":
-        return cls("empty")
-
-    @classmethod
-    def point(cls, delta: int) -> "DeltaSet":
-        return cls("point", start=delta)
-
-    @classmethod
-    def progression(cls, start: int, step: int) -> "DeltaSet":
-        return cls("progression", start=start, step=step)
-
-    def as_text(self) -> str:
-        if self.kind == "empty":
-            return "none"
-        if self.kind == "point":
-            return f"d={self.start}"
-        return f"d={self.start},{self.start + self.step},... step {self.step}"
-
-
-@dataclass(frozen=True)
-class ComponentSup:
-    """Supremum of dim - d/2 over all valid d, for one connected component degree."""
-
-    value: ExtHalf
-    attained_at: DeltaSet
-    eventually_decreasing: bool
-
-    def __post_init__(self):
-        if not self.value.is_finite and self.attained_at.kind != "empty":
-            raise ValueError("-oo supremum cannot be attained")
-
-
 def stratum_dim_sum(shape: StratumShape, p: int) -> ExtHalf:
     """Sum of component dimensions: the group-free upper bound for the stratum."""
     return ext_sum(dim_connected(v, x, p) for v, x in zip(shape.nu, shape.delta))
 
 
-def sup_component(part: int, p: int) -> ComponentSup:
+def sup_component(part: int, p: int) -> ExtHalf:
     """Closed-form supremum of dim_connected(part, d, p) - d/2 over all d >= 0.
 
-    part = 1 attains 0 at d = 0.  A tame part attains -(part-1)/2 at the single
-    valid exponent d = part - 1.  A wild part attains 1 - part/2 at d = part;
-    for p >= 3 the values then strictly drop along each period, while for
-    p = 2 they are constant at 1 - part/2 on the whole support d = part,
-    part+2, ... (the one non-decaying case).
+    It is 0 for part = 1, -(part-1)/2 for a tame part, and 1 - part/2 for a
+    wild part.
     """
     if part < 1:
         raise ValueError(f"part must be positive, got {part}")
     validate_characteristic(p)
     if part == 1:
-        return ComponentSup(ExtHalf(0), DeltaSet.point(0), True)
+        return ZERO
     if p == 0 or part % p != 0:
-        return ComponentSup(
-            ExtHalf(-Fraction(part - 1, 2)), DeltaSet.point(part - 1), True
-        )
-    value = ExtHalf(1 - Fraction(part, 2))
-    if p == 2:
-        return ComponentSup(value, DeltaSet.progression(part, 2), False)
-    return ComponentSup(value, DeltaSet.point(part), True)
+        return ExtHalf.half(1 - part)
+    return ExtHalf.half(2 - part)
 
 
 def refined_stratum_sup(
@@ -260,7 +210,7 @@ def refined_stratum_sup(
     if all(v == 1 for v in nu):
         raise ValueError("trivial partition has no nontrivial stratum")
     validate_characteristic(p)
-    generic = ext_sum(sup_component(v, p).value for v in nu)
+    generic = ext_sum(sup_component(v, p) for v in nu)
     if not transposition_free:
         return generic
     largest = nu[0]
@@ -323,7 +273,7 @@ def global_sup(n: int, p: int, transposition_free: bool) -> GlobalSup:
         return GlobalSup(ExtHalf(-1), limit, (4,) + twos[2:] if n >= 4 else (n,))
     if not transposition_free:
         first = 3 if p == 3 and n >= 3 else 2
-        return GlobalSup(ExtHalf(Fraction(-1, 2)), limit, (first,) + (1,) * (n - first))
+        return GlobalSup(ExtHalf.half(-1), limit, (first,) + (1,) * (n - first))
     if p == 3 and n >= 6:
         worst = (3, 3) + (1,) * (n - 6)
     elif p == 3 and n == 5:

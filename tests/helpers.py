@@ -19,8 +19,68 @@ from permsing import (
     PermutationGroup,
     partitions,
     refined_stratum_sup,
-    sup_component,
 )
+
+
+# ---------------------------------------------------------------------------
+# the half-integers as Fractions: the library stores twice the value as an
+# int, and this Fraction-backed form is the reference it is checked against
+
+class FractionHalf:
+    """A rational with denominator dividing 2, or -oo (value None)."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        if value is not None:
+            value = Fraction(value)
+            if value.denominator not in (1, 2):
+                raise ValueError(f"not a half-integer: {value}")
+        self.value = value
+
+    @property
+    def is_finite(self) -> bool:
+        return self.value is not None
+
+    def __add__(self, other: "FractionHalf") -> "FractionHalf":
+        if self.value is None or other.value is None:
+            return FractionHalf(None)
+        return FractionHalf(self.value + other.value)
+
+    def __sub__(self, other: "FractionHalf") -> "FractionHalf":
+        if other.value is None:
+            raise ValueError("cannot subtract -oo")
+        if self.value is None:
+            return FractionHalf(None)
+        return FractionHalf(self.value - other.value)
+
+    def __neg__(self) -> "FractionHalf":
+        if self.value is None:
+            raise ValueError("cannot negate -oo")
+        return FractionHalf(-self.value)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FractionHalf) and self.value == other.value
+
+    def __lt__(self, other: "FractionHalf") -> bool:
+        if self.value is None:
+            return other.value is not None
+        return other.value is not None and self.value < other.value
+
+    def as_text(self) -> str:
+        if self.value is None:
+            return "-inf"
+        if self.value.denominator == 1:
+            return str(self.value.numerator)
+        return f"{self.value.numerator}/2"
+
+    def as_json(self) -> dict:
+        if self.value is None:
+            return {"finite": False, "value": None}
+        return {
+            "finite": True,
+            "value": {"num": self.value.numerator, "den": self.value.denominator},
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +200,20 @@ def brute_force_strata(n: int, d: int) -> set[tuple[tuple[int, ...], tuple[int, 
     return shapes
 
 
+def excess_decays(part: int, p: int) -> bool:
+    """Whether dim - d/2 of a connected piece of degree part falls below its
+    maximum for good, by a scan of the five-case formula along d: no finite
+    value at d >= 2 * part + 4 reaches the largest one (a non-decaying part
+    keeps a constant value on a whole progression of d)."""
+    scan = {}
+    for d in range(4 * part + 8):
+        dim = five_case_dim(part, d, p)
+        if dim is not None:
+            scan[d] = dim - Fraction(d, 2)
+    top = max(scan.values())
+    return all(value < top for d, value in scan.items() if d >= 2 * part + 4)
+
+
 # ---------------------------------------------------------------------------
 # reference global supremum: maximize the per-partition bound over every
 # non-trivial partition of n, keeping the first maximiser in descending
@@ -156,7 +230,7 @@ def scan_global_sup(n: int, p: int, transposition_free: bool) -> GlobalSup:
             best = value
             worst = nu
     # every v <= n is a part of some partition of n
-    limit = all(sup_component(v, p).eventually_decreasing for v in range(1, n + 1))
+    limit = all(excess_decays(v, p) for v in range(1, n + 1))
     return GlobalSup(sup=best, limit_minus_infinity=limit, worst_partition=worst)
 
 

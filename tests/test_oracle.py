@@ -13,7 +13,6 @@ from permsing import (
     as_class_count,
     dim_connected,
     dim_cyclic_cubic_galois,
-    discriminant_of_jump,
     tame_totally_ramified_count,
     verify_dimension_growth,
 )
@@ -176,16 +175,6 @@ def test_basis_lists_coprime_reduced_representatives():
     space = ASQuotient(3, 9, 5)
     orders = [part.pole_order() for part in basis(space)]
     assert orders == [1, 1, 2, 2, 4, 4, 5, 5]  # two prime-field coordinates each
-
-
-def test_discriminant_of_jump():
-    assert discriminant_of_jump(3, 1) == 4
-    assert discriminant_of_jump(2, 1) == 2
-    assert discriminant_of_jump(3, 2) == 6
-    with pytest.raises(ValueError):
-        discriminant_of_jump(3, 3)
-    with pytest.raises(ValueError):
-        discriminant_of_jump(2, 0)
 
 
 def test_verify_dimension_growth_char_two():

@@ -2,12 +2,16 @@
 
 import ast
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from permsing import (
+    ExtHalf,
     GorensteinReport,
     Permutation,
     PermutationGroup,
@@ -196,6 +200,29 @@ def test_transpositions_examples():
     assert {g.cycle_string() for g in G.transpositions()} == {"(1 2)", "(3 4)"}
 
 
+def test_one_membership_test_per_class_of_pairs(monkeypatch):
+    # PSL(2,59) on the projective line and S8 are 2-transitive: all pairs of
+    # points form one orbit, so one sift decides every transposition
+    q = 59
+    shift = Permutation([(z + 1) % q + 1 for z in range(q)] + [q + 1])
+    invert = Permutation([q + 1] + [-pow(z, -1, q) % q + 1 for z in range(1, q)] + [1])
+    psl = PermutationGroup.from_generators([shift, invert], q + 1)
+    calls = []
+    sifts = PermutationGroup._sifts
+    monkeypatch.setattr(PermutationGroup, "_sifts", lambda G, h: calls.append(h) or sifts(G, h))
+    for G, classes in [(psl, 0), (group_from_name("S8", 8), 1)]:
+        calls.clear()
+        assert G.transposition_classes() == classes
+        assert len(calls) == 1
+    # (1 2);(3 4) has two orbits of one pair each; under (1 2 3 4) the six
+    # pairs of its one point orbit fall into two orbits, {1,3} and {2,4} the
+    # second
+    for text, sifted in [("(1 2);(3 4)", 2), ("(1 2 3 4)", 2)]:
+        calls.clear()
+        PermutationGroup.from_text(text, 4).transpositions()
+        assert len(calls) == sifted
+
+
 def test_branch_components_examples():
     assert PermutationGroup.symmetric(3).transposition_classes() == 1
     assert PermutationGroup.klein_four(4).transposition_classes() == 0
@@ -264,11 +291,18 @@ def test_gorenstein_report_invariants_enforced():
     with pytest.raises(ValueError):
         GorensteinReport(3, None, None, 0)
     with pytest.raises(ValueError):
-        GorensteinReport(1, Fraction(1, 2), 1, 1)
+        GorensteinReport(1, ExtHalf.half(1), 1, 1)
     with pytest.raises(ValueError):
         GorensteinReport(1, None, None, 2)
     with pytest.raises(ValueError):
-        GorensteinReport(1, Fraction(1, 3), 2, 1)
+        GorensteinReport(1, ExtHalf(2), 2, 1)
+    # the coefficient is an ExtHalf, not a rational of the same value
+    with pytest.raises(ValueError):
+        GorensteinReport(1, Fraction(1, 2), 2, 1)
+    assert GorensteinReport(1, ExtHalf.half(1), 2, 1).as_json()["boundary_coefficient"] == {
+        "num": 1,
+        "den": 2,
+    }
 
 
 def test_conjugation_invariance_of_branch_data():
@@ -396,8 +430,8 @@ def test_preset_generators_are_the_parsed_cycles():
 # layering: perm.py is group theory only
 
 
-def test_perm_module_imports_no_verdict_code():
-    tree = ast.parse(Path(perm.__file__).read_text(encoding="utf-8"))
+def _imported_modules(path: Path) -> set[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -408,8 +442,29 @@ def test_perm_module_imports_no_verdict_code():
                 base = "permsing." + base if base else "permsing"
             imported.add(base)
             imported.update(f"{base}.{alias.name}" for alias in node.names)
+    return imported
+
+
+def _hits(imported: set[str], forbidden: tuple[str, ...]) -> set[str]:
+    return {name for name in imported for bad in forbidden if (name + ".").startswith(bad + ".")}
+
+
+def test_perm_module_imports_no_verdict_code():
     forbidden = ("fractions", "dataclasses") + tuple(
         f"permsing.{name}" for name in ("primes", "classify", "strata")
     )
-    hits = {name for name in imported for bad in forbidden if (name + ".").startswith(bad + ".")}
-    assert not hits
+    assert not _hits(_imported_modules(Path(perm.__file__)), forbidden)
+    # the half-integers are doubled ints, so no module needs rationals
+    modules = sorted(Path(perm.__file__).parent.glob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        assert not _hits(_imported_modules(path), ("fractions",)), path.name
+
+
+def test_cli_import_loads_no_rationals():
+    src = str(Path(perm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = "import sys, permsing.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -19,7 +19,7 @@ from permsing import (
 )
 from permsing.halfint import ext_sum
 
-from helpers import brute_force_strata, five_case_dim, scan_global_sup
+from helpers import brute_force_strata, excess_decays, five_case_dim, scan_global_sup
 
 CHARACTERISTICS = (0, 2, 3, 5, 7)
 
@@ -155,56 +155,37 @@ def test_stratum_dim_sum_examples():
 # ---------------------------------------------------------------------------
 # closed-form suprema against scans
 
-def scan_component(part: int, p: int, dmax: int = 200):
-    best = NEG_INF
-    argmax = None
-    for d in range(0, dmax + 1):
-        value = excess(part, d, p)
-        if value > best:
-            best = value
-            argmax = d
-    return best, argmax
+def scan_component(part: int, p: int, dmax: int = 200) -> ExtHalf:
+    return max(excess(part, d, p) for d in range(0, dmax + 1))
 
 
 def test_sup_component_examples():
-    c = sup_component(2, 0)
-    assert c.value == ExtHalf(Fraction(-1, 2)) and c.attained_at.start == 1
-    c = sup_component(4, 2)
-    assert c.value == half(-1)
-    assert c.attained_at.kind == "progression" and c.attained_at.start == 4
-    assert not c.eventually_decreasing
-    c = sup_component(1, 5)
-    assert c.value == half(0) and c.attained_at.start == 0
-    c = sup_component(3, 3)
-    assert c.value == ExtHalf(Fraction(-1, 2)) and c.attained_at.start == 3
+    assert sup_component(2, 0) == Fraction(-1, 2)
+    assert sup_component(4, 2) == half(-1)
+    assert sup_component(1, 5) == half(0)
+    assert sup_component(3, 3) == Fraction(-1, 2)
 
 
 def test_sup_component_matches_scan():
     for p in CHARACTERISTICS:
         for part in range(1, 9):
-            comp = sup_component(part, p)
-            best, argmax = scan_component(part, p)
-            assert comp.value == best, (part, p)
-            assert comp.attained_at.start == argmax, (part, p)
-            # the closed form value is attained where it claims to be
-            assert excess(part, comp.attained_at.start, p) == comp.value
+            assert sup_component(part, p) == scan_component(part, p), (part, p)
 
 
 def test_sup_component_constant_for_even_wild_parts():
     for part in (2, 4, 6, 8):
-        comp = sup_component(part, 2)
         support = [d for d in range(0, 201) if excess(part, d, 2).is_finite]
         assert support == list(range(part, 201, 2))
-        assert all(excess(part, d, 2) == ExtHalf(1 - Fraction(part, 2)) for d in support)
-        assert not comp.eventually_decreasing
+        assert all(excess(part, d, 2) == sup_component(part, 2) for d in support)
+        assert sup_component(part, 2) == 1 - Fraction(part, 2)
 
 
 def test_eventually_decreasing_flag():
+    # the scan's decay flag, which global_sup's limit flag is checked against
     for p in CHARACTERISTICS:
         for part in range(1, 9):
-            comp = sup_component(part, p)
             expected = not (p == 2 and part % 2 == 0 and part >= 2)
-            assert comp.eventually_decreasing == expected
+            assert excess_decays(part, p) == expected, (part, p)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +202,7 @@ def test_refined_stratum_sup_generic_matches_scan():
     # for the generic branch the bound is the sum of componentwise scans
     for p in CHARACTERISTICS:
         for nu in [(4, 2), (3, 2), (5,), (3, 3), (4, 1, 1), (6, 2)]:
-            expect = ext_sum(scan_component(v, p)[0] for v in nu)
+            expect = ext_sum(scan_component(v, p) for v in nu)
             assert refined_stratum_sup(nu, p, False) == expect
 
 
