@@ -5,7 +5,10 @@ inv)` reads the integers of a `GroupInvariants` record and nothing else, and
 `classify(G, p)` is `certify(p, G.invariants())`.  The pseudo-reflections of a
 permutation action are exactly the transpositions, so the branch divisor has
 one component per conjugacy class of them; the Gorenstein and boundary data
-of the pair (X, B) follow from that count, p and evenness.
+of the pair (X, B) follow from that count, p and evenness.  The canonical
+verdict has one path: a group with transpositions has the same quotient as
+its transposition-free reflection quotient H = G/W, W generated by the
+transpositions, and a transposition-free bound depends on (n, p) alone.
 
 Verdicts are one-sided: the engine either certifies membership in a
 singularity class or reports NOT_CERTIFIED.  It never asserts non-membership,
@@ -40,8 +43,7 @@ ANCHOR_KLT_FROM_CANONICAL = "rule:klt-from-canonical-empty-boundary"
 ANCHOR_BOUNDARY_COEFFICIENT = "rule:boundary-coefficient"
 ANCHOR_GORENSTEIN_INDEX = "rule:gorenstein-index"
 ANCHOR_B_CARTIER_INDEX = "rule:boundary-cartier-index"
-ANCHOR_DISCREPANCY_REDUCTION = "rule:discrepancy-reduction"
-ANCHOR_OFF_BOUNDARY = "rule:off-boundary-reduction"
+ANCHOR_REFLECTION_QUOTIENT = "rule:reflection-quotient"
 ANCHOR_STRINGY_BOUND = "rule:stringy-dimension-bound"
 ANCHOR_NONFREE_LOCUS = "rule:nonfree-locus-bound"
 
@@ -182,12 +184,21 @@ def certify(p: int, inv: GroupInvariants) -> ClassificationReport:
     in the presence of a transposition (the boundary is then reduced) and is
     derived from the canonical certificate when B = 0.
 
-    Transposition-free groups are certified canonical directly from the
-    stratum bounds.  For a group with transpositions, a divisor whose center
-    lies in the boundary has discrep(E; X) = discrep(E; X, B) plus the
-    boundary multiplicity: at least -1 + 1/index for a klt pair with B
-    index-Cartier (-1 for an lc pair), plus the smallest coefficient.  Centers
-    off the boundary see transposition-free quotients of dimension <= n.
+    Canonical, one path for every group: X is a transposition-free quotient
+    A^n/H, certified by the transposition-free stratum bound of (n, p).  Let
+    W be generated by G's transpositions, and B_1..B_s (singletons included)
+    the components of the graph whose edges they are; then W = S_B1 x ... x
+    S_Bs.  The orbit sums of monomials are a basis of the invariants of a
+    monomial-permuting group over any ring, and by the fundamental theorem of
+    symmetric polynomials they are unitriangular over Z in the monomials of
+    y_{B,i} = e_i(x_b : b in B), 1 <= i <= |B|.  So k[x]^W = k[y] is a
+    polynomial ring in n variables in every characteristic.  G normalizes W,
+    permutes the blocks and sends y_{B,i} to y_{gB,i}, so k[x]^G = k[y]^H for
+    H = G/W permuting the y's.  H is faithful, |H| = |G| / prod |B_j|!: an
+    element fixing every y fixes every block (y_{B,1} determines B), so lies
+    in W.  H has no transposition: one swapping exactly two y's swaps two
+    singleton blocks {a}, {b} and fixes every other block, so a lift to G
+    times an element of W is (a b), which would have joined a and b.
     """
     validate_characteristic(p)
     _check_invariants(inv)
@@ -198,121 +209,72 @@ def certify(p: int, inv: GroupInvariants) -> ClassificationReport:
         b_index = 1 if p == 2 else 2
         coeff = ExtHalf(1) if p == 2 else ExtHalf.half(1)
     gor = GorensteinReport(1 if p == 2 or inv.all_even else 2, coeff, b_index, classes)
-    gs = global_sup(n, p, transposition_free=not has_t)
-    tf_ok = gs.sup <= ExtHalf(-1)
+    tf = global_sup(n, p, transposition_free=True)
+    tf_ok = tf.sup <= ExtHalf(-1)
+    canonical = CERTIFIED if tf_ok else NOT_CERTIFIED
     if p != 2:
         klt = TRUE
     elif has_t:
         klt = FALSE
     else:
         klt = TRUE if tf_ok else UNKNOWN
-    trace: list[TraceEntry] = []
 
-    trace.append(
-        TraceEntry(
-            ANCHOR_GORENSTEIN_INDEX,
-            f"{gor.kx_index_divides}*K_X is Cartier"
-            + (" (even group refinement)" if p != 2 and gor.kx_index_divides == 1 else ""),
-        )
-    )
+    even = " (even group refinement)" if p != 2 and gor.kx_index_divides == 1 else ""
+    trace = [(ANCHOR_GORENSTEIN_INDEX, f"{gor.kx_index_divides}*K_X is Cartier{even}")]
     if has_t:
-        trace.append(
-            TraceEntry(
-                ANCHOR_BOUNDARY_COEFFICIENT,
-                f"boundary has {classes} component(s), each with coefficient {coeff.as_text()}",
-            )
-        )
-        trace.append(TraceEntry(ANCHOR_B_CARTIER_INDEX, f"{b_index}*B is Cartier"))
-
-    trace.append(
-        TraceEntry(
-            ANCHOR_LC_FROM_BOUNDED_SUP,
-            "dim - v is bounded above over all strata, so (X,B) is log canonical",
-        )
-    )
+        trace.append((
+            ANCHOR_BOUNDARY_COEFFICIENT,
+            f"boundary has {classes} component(s), each with coefficient {coeff.as_text()}",
+        ))
+        trace.append((ANCHOR_B_CARTIER_INDEX, f"{b_index}*B is Cartier"))
+    trace.append((
+        ANCHOR_LC_FROM_BOUNDED_SUP,
+        "dim - v is bounded above over all strata, so (X,B) is log canonical",
+    ))
     if klt == TRUE and p != 2:
-        trace.append(
-            TraceEntry(
-                ANCHOR_KLT_FROM_DECAY,
-                "dim - v tends to -oo along the strata (p != 2), so (X,B) is klt",
-            )
-        )
+        trace.append((
+            ANCHOR_KLT_FROM_DECAY,
+            "dim - v tends to -oo along the strata (p != 2), so (X,B) is klt",
+        ))
     elif klt == FALSE:
-        trace.append(
-            TraceEntry(
-                ANCHOR_KLT_FAILS_REDUCED_BOUNDARY,
-                "p = 2 boundary has a coefficient-1 component, incompatible with klt",
-            )
-        )
+        trace.append((
+            ANCHOR_KLT_FAILS_REDUCED_BOUNDARY,
+            "p = 2 boundary has a coefficient-1 component, incompatible with klt",
+        ))
+    if has_t:
+        trace.append((
+            ANCHOR_REFLECTION_QUOTIENT,
+            f"X = A^{n}/H for H = G/W, W generated by the transpositions: H permutes "
+            f"the {n} elementary symmetric functions of W's orbits, with no transposition",
+        ))
+    trace.append((
+        ANCHOR_TF_STRATUM_BOUND,
+        f"transposition-free sup of dim - v over non-trivial strata is "
+        f"{tf.sup.as_text()} at nu={_fmt_partition(tf.worst_partition)}",
+    ))
+    trace.append((
+        ANCHOR_CANONICAL_FROM_STRATA,
+        "dim - v <= -1 on every non-trivial stratum certifies canonical"
+        if tf_ok
+        else "stratum bound check failed; no certificate",
+    ))
+    if klt == TRUE and p == 2:
+        trace.append((
+            ANCHOR_KLT_FROM_CANONICAL,
+            "derived: B = 0 and canonical certified, so discrepancies >= 0 > -1 give klt",
+        ))
 
-    if not has_t:
-        trace.append(
-            TraceEntry(
-                ANCHOR_TF_STRATUM_BOUND,
-                f"transposition-free sup of dim - v over non-trivial strata is "
-                f"{gs.sup.as_text()} at nu={_fmt_partition(gs.worst_partition)}",
-            )
-        )
-        canonical = CERTIFIED if tf_ok else NOT_CERTIFIED
-        trace.append(
-            TraceEntry(
-                ANCHOR_CANONICAL_FROM_STRATA,
-                "dim - v <= -1 on every non-trivial stratum certifies canonical"
-                if tf_ok
-                else "stratum bound check failed; no certificate",
-            )
-        )
-        if klt == TRUE and p == 2:
-            trace.append(
-                TraceEntry(
-                    ANCHOR_KLT_FROM_CANONICAL,
-                    "derived: B = 0 and canonical certified, so discrepancies "
-                    ">= 0 > -1 give klt",
-                )
-            )
-    else:
-        # lc = TRUE always, so the pair bound is klt's when klt holds and lc's otherwise
-        level = "klt" if klt == TRUE else "lc"
-        # the klt bound is -1 + 1/b_index, and 1/b_index is the coefficient
-        bound = ExtHalf(-1) + (coeff if level == "klt" else 0) + coeff
-        trace.append(
-            TraceEntry(
-                ANCHOR_DISCREPANCY_REDUCTION,
-                f"centers inside the boundary: discrep(E;X) >= "
-                f"({level} bound) + (boundary multiplicity) = {bound.as_text()}",
-            )
-        )
-        off_ok = all(
-            global_sup(m, p, transposition_free=True).sup <= ExtHalf(-1)
-            for m in range(1, n + 1)
-        )
-        trace.append(
-            TraceEntry(
-                ANCHOR_OFF_BOUNDARY,
-                "centers off the boundary see transposition-free permutation "
-                f"quotients of dimension <= {n}, all certified canonical"
-                if off_ok
-                else "off-boundary certificate failed",
-            )
-        )
-        canonical = CERTIFIED if bound >= ExtHalf(0) and off_ok else NOT_CERTIFIED
-
-    stringy = ExtHalf(n) + gs.sup
-    trace.append(
-        TraceEntry(
-            ANCHOR_STRINGY_BOUND,
-            f"stringy dimension over non-trivial strata is at most {stringy.as_text()}",
-        )
-    )
-
+    # the stringy bound reads G's own strata, transpositions included
+    stringy = ExtHalf(n) + (global_sup(n, p, transposition_free=False) if has_t else tf).sup
+    trace.append((
+        ANCHOR_STRINGY_BOUND,
+        f"stringy dimension over non-trivial strata is at most {stringy.as_text()}",
+    ))
     # the fixed space of an element has one dimension per cycle
     nonfree = inv.max_cycle_count
     if nonfree is not None:
         trace.append(
-            TraceEntry(
-                ANCHOR_NONFREE_LOCUS,
-                f"informational: non-free locus has dimension <= {nonfree}",
-            )
+            (ANCHOR_NONFREE_LOCUS, f"informational: non-free locus has dimension <= {nonfree}")
         )
 
     return ClassificationReport(
@@ -326,5 +288,5 @@ def certify(p: int, inv: GroupInvariants) -> ClassificationReport:
         stringy_dim_bound=stringy,
         gorenstein=gor,
         nonfree_locus_dim_bound=nonfree,
-        trace=tuple(trace),
+        trace=tuple(TraceEntry(anchor, detail) for anchor, detail in trace),
     )

@@ -7,7 +7,10 @@ an int, with None for -oo: no floating point and no rationals anywhere.
 
 from __future__ import annotations
 
+import sys
 from functools import total_ordering
+
+_MODULUS = sys.hash_info.modulus
 
 
 @total_ordering
@@ -15,8 +18,9 @@ class ExtHalf:
     """A rational with denominator dividing 2, or the symbol -oo.
 
     Addition absorbs -oo; the order is total with -oo strictly minimal.
-    Instances are immutable and hashable.  They combine and compare with ints
-    and with any rational that has numerator and denominator.
+    Instances are immutable and hashable, and hash as the equal int or
+    Fraction does.  They combine and compare with ints and with any rational
+    that has numerator and denominator.
     """
 
     __slots__ = ("_twice",)
@@ -94,7 +98,16 @@ class ExtHalf:
         return c if c is NotImplemented else c < 0
 
     def __hash__(self) -> int:
-        return hash(self._twice)
+        twice = self._twice
+        if twice is None:
+            return hash(None)
+        if twice % 2 == 0:
+            return hash(twice // 2)
+        # Python's numeric hash of k/2: |k| times the inverse of 2 modulo the
+        # hash modulus, with the sign of k, and -1 reserved
+        h = abs(twice) * ((_MODULUS + 1) // 2) % _MODULUS
+        h = h if twice > 0 else -h
+        return -2 if h == -1 else h
 
     def __repr__(self) -> str:
         return f"ExtHalf({self.as_text()})"

@@ -301,6 +301,70 @@ def all_subgroups(n: int) -> list[PermutationGroup]:
     return list(seen.values())
 
 
+def embedded(G: PermutationGroup, n: int) -> PermutationGroup:
+    """G on n >= G.n points, fixing G.n + 1..n."""
+    extra = tuple(range(G.n + 1, n + 1))
+    return PermutationGroup.from_generators(
+        [Permutation(g.images + extra) for g in G.generators], n
+    )
+
+
+# ---------------------------------------------------------------------------
+# the reflection quotient: W, generated by the transpositions of G, is
+# S_B1 x ... x S_Bs on the components B of the graph whose edges they are;
+# k[x]^W is the polynomial ring in y_{B,i} = e_i(x_b : b in B), and
+# H = G/W permutes the y's, y_{B,i} -> y_{gB,i}
+
+def reflection_quotient(G: PermutationGroup):
+    """(H, blocks, degrees): H = G/W as a permutation group of degree n on
+    the y's, listed block by block (blocks sorted, i = 1..|B| within one),
+    and deg y_{B,i} = i in that order."""
+    parent = list(range(G.n + 1))
+
+    def root(a: int) -> int:
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for t in G.transpositions():
+        [(a, b)] = t.cycles()
+        parent[root(a)] = root(b)
+    members: dict[int, list[int]] = {}
+    for x in range(1, G.n + 1):
+        members.setdefault(root(x), []).append(x)
+    blocks = sorted(tuple(b) for b in members.values())
+    block_of = {x: B for B in blocks for x in B}
+    ys = [(B, i) for B in blocks for i in range(1, len(B) + 1)]
+    index = {y: k for k, y in enumerate(ys, start=1)}
+    gens = []
+    for g in G.generators:
+        for B in blocks:
+            # G normalizes W, so it carries blocks onto blocks
+            assert tuple(sorted(map(g, B))) == block_of[g(B[0])]
+        gens.append(Permutation(index[block_of[g(B[0])], i] for B, i in ys))
+    H = PermutationGroup.from_generators(gens, G.n)
+    return H, blocks, tuple(i for _, i in ys)
+
+
+def hilbert_series(G: PermutationGroup, degrees=None, top: int = 12) -> list[Fraction]:
+    """The graded Molien series of k[x]^G to t^top, x_i of degree
+    degrees[i - 1] (all 1 by default): by Burnside, the mean over the
+    elements of the monomials each fixes, prod over cycles C of
+    1 / (1 - t^(|C| deg C))."""
+    degrees = degrees or (1,) * G.n
+    total = [0] * (top + 1)
+    group = elements(G)
+    for g in group:
+        series = [1] + [0] * top
+        for cycle in g.cycles(include_fixed=True):
+            (weight,) = {degrees[x - 1] for x in cycle}
+            step = weight * len(cycle)
+            for k in range(step, top + 1):
+                series[k] += series[k - step]
+        total = [a + b for a, b in zip(total, series)]
+    return [Fraction(a, len(group)) for a in total]
+
+
 # ---------------------------------------------------------------------------
 # group invariants by walking every element of G (the library reads them from
 # the generators and membership tests)

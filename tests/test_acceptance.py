@@ -7,6 +7,7 @@ to see the per-criterion lines.
 
 import io
 import itertools
+import math
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -36,14 +37,13 @@ from permsing.classify import (
     ANCHOR_BOUNDARY_COEFFICIENT,
     ANCHOR_B_CARTIER_INDEX,
     ANCHOR_CANONICAL_FROM_STRATA,
-    ANCHOR_DISCREPANCY_REDUCTION,
     ANCHOR_GORENSTEIN_INDEX,
     ANCHOR_KLT_FAILS_REDUCED_BOUNDARY,
     ANCHOR_KLT_FROM_CANONICAL,
     ANCHOR_KLT_FROM_DECAY,
     ANCHOR_LC_FROM_BOUNDED_SUP,
     ANCHOR_NONFREE_LOCUS,
-    ANCHOR_OFF_BOUNDARY,
+    ANCHOR_REFLECTION_QUOTIENT,
     ANCHOR_STRINGY_BOUND,
     ANCHOR_TF_STRATUM_BOUND,
 )
@@ -51,10 +51,13 @@ from permsing.perm import PermutationGroup
 
 from helpers import (
     all_subgroups,
+    embedded,
     exact_value_n2,
     five_case_dim,
     fixed_dim_rank_mod_p,
     fixed_dim_rank_Q,
+    hilbert_series,
+    reflection_quotient,
 )
 
 CHARACTERISTICS = (0, 2, 3, 5, 7)
@@ -170,12 +173,19 @@ def test_criterion_07_soundness_sweep():
             subgroups = all_subgroups(n)
             assert len(subgroups) == expected_counts[n]
             for G in subgroups:
+                # the reflection quotient of a group with a transposition has
+                # none, and the same verdict
+                H = reflection_quotient(G)[0] if G.transposition_classes() else None
+                if H is not None:
+                    assert H.transposition_classes() == 0, G
                 for p in (0, 2, 3, 5):
                     report = classify(G, p)
                     assert report.canonical == CERTIFIED
                     assert report.pair_lc == TRUE
                     if p != 2:
                         assert report.pair_klt == TRUE
+                    if H is not None:
+                        assert classify(H, p).canonical == report.canonical, (G, p)
 
 
 def test_criterion_08_known_case_agreement():
@@ -310,11 +320,10 @@ def theorem_anchors(p: int, has_t: bool, nonfree) -> list[str]:
     elif has_t:
         anchors.append(ANCHOR_KLT_FAILS_REDUCED_BOUNDARY)
     if has_t:
-        anchors += [ANCHOR_DISCREPANCY_REDUCTION, ANCHOR_OFF_BOUNDARY]
-    else:
-        anchors += [ANCHOR_TF_STRATUM_BOUND, ANCHOR_CANONICAL_FROM_STRATA]
-        if p == 2:
-            anchors.append(ANCHOR_KLT_FROM_CANONICAL)
+        anchors.append(ANCHOR_REFLECTION_QUOTIENT)
+    anchors += [ANCHOR_TF_STRATUM_BOUND, ANCHOR_CANONICAL_FROM_STRATA]
+    if p == 2 and not has_t:
+        anchors.append(ANCHOR_KLT_FROM_CANONICAL)
     anchors.append(ANCHOR_STRINGY_BOUND)
     if nonfree is not None:
         anchors.append(ANCHOR_NONFREE_LOCUS)
@@ -326,6 +335,8 @@ def test_criterion_15_theorem_table_from_invariants():
     with criterion(15, description, 2.0):
         for n in range(1, 65):
             for p in (0, 2, 3, 5, 7, 999999999989):
+                trivial = certify(p, GroupInvariants(n, 1, 0, True, None))
+                tf_bound = next(t for t in trivial.trace if t.anchor == ANCHOR_TF_STRATUM_BOUND)
                 for inv in theorem_records(n):
                     has_t = inv.transposition_classes > 0
                     report = certify(p, inv)
@@ -344,6 +355,28 @@ def test_criterion_15_theorem_table_from_invariants():
                     assert report.nonfree_locus_dim_bound == inv.max_cycle_count
                     anchors = [t.anchor for t in report.trace]
                     assert anchors == theorem_anchors(p, has_t, inv.max_cycle_count)
+                    # one canonical path: every record at (n, p), with a
+                    # transposition or not, reads the same stratum bound
+                    bound = next(t for t in report.trace if t.anchor == ANCHOR_TF_STRATUM_BOUND)
+                    assert bound == tf_bound, (n, p, inv)
                 if n >= 2:
                     with pytest.raises(ValueError, match="even group"):
                         certify(p, GroupInvariants(n, 2, 1, True, n - 1))
+
+
+def test_criterion_17_reflection_quotient():
+    description = (
+        "every subgroup of S_m (m<=5) at n = m, m + 2 has a transposition-free "
+        "reflection quotient with the same graded Molien series"
+    )
+    with criterion(17, description, 10.0):
+        checked = 0
+        for m in range(1, 6):
+            for G0 in all_subgroups(m):
+                for G in (G0, embedded(G0, m + 2)):
+                    H, blocks, degrees = reflection_quotient(G)
+                    assert H.order * math.prod(math.factorial(len(B)) for B in blocks) == G.order
+                    assert H.transposition_classes() == 0, G
+                    assert hilbert_series(G) == hilbert_series(H, degrees), G
+                    checked += 1
+        assert checked == 390

@@ -22,18 +22,17 @@ from permsing import primes
 from permsing.classify import (
     ANCHOR_CANONICAL_FROM_STRATA,
     ANCHOR_TF_STRATUM_BOUND,
-    ANCHOR_DISCREPANCY_REDUCTION,
     ANCHOR_GORENSTEIN_INDEX,
     ANCHOR_KLT_FAILS_REDUCED_BOUNDARY,
     ANCHOR_KLT_FROM_CANONICAL,
     ANCHOR_KLT_FROM_DECAY,
     ANCHOR_LC_FROM_BOUNDED_SUP,
-    ANCHOR_OFF_BOUNDARY,
+    ANCHOR_REFLECTION_QUOTIENT,
     ANCHOR_STRINGY_BOUND,
 )
 from permsing.primes import MAX_CHARACTERISTIC, validate_characteristic
 
-from helpers import all_subgroups
+from helpers import all_subgroups, reflection_quotient
 
 
 def transposition_free(n: int) -> GroupInvariants:
@@ -73,11 +72,35 @@ def test_pair_status_examples():
     assert (s.pair_klt, s.pair_lc) == (TRUE, TRUE)
 
 
-def test_discrepancy_reduction_examples():
-    for p, level in ((5, "klt"), (2, "lc"), (3, "klt")):
+def test_reflection_quotient_examples():
+    # a group with a transposition is certified through its transposition-free
+    # reflection quotient: the same stratum entries as a transposition-free
+    # record of the same (n, p), behind one reflection-quotient entry
+    for p in (5, 2, 3):
         report = certify(p, GroupInvariants(4, 2, 1, False, 3))
-        text = detail(report, ANCHOR_DISCREPANCY_REDUCTION)
-        assert text.endswith(f"({level} bound) + (boundary multiplicity) = 0")
+        anchors = [t.anchor for t in report.trace]
+        at = anchors.index(ANCHOR_REFLECTION_QUOTIENT)
+        assert anchors[at + 1 : at + 3] == [ANCHOR_TF_STRATUM_BOUND, ANCHOR_CANONICAL_FROM_STRATA]
+        assert detail(report, ANCHOR_REFLECTION_QUOTIENT).startswith("X = A^4/H for H = G/W")
+        tf = certify(p, transposition_free(4))
+        for anchor in (ANCHOR_TF_STRATUM_BOUND, ANCHOR_CANONICAL_FROM_STRATA):
+            assert detail(report, anchor) == detail(tf, anchor)
+        assert ANCHOR_REFLECTION_QUOTIENT not in [t.anchor for t in tf.trace]
+    # S_4 has W = S_4, so H is trivial; so is H of <(1 2), (3 4)>, on its
+    # four y's; S_3 fixing 4 and 5 keeps them as singleton blocks
+    for G, blocks, degrees in (
+        (PermutationGroup.symmetric(4), [(1, 2, 3, 4)], (1, 2, 3, 4)),
+        (PermutationGroup.from_text("(1 2);(3 4)", 4), [(1, 2), (3, 4)], (1, 2, 1, 2)),
+        (PermutationGroup.symmetric(3, 5), [(1, 2, 3), (4,), (5,)], (1, 2, 3, 1, 1)),
+    ):
+        H, got_blocks, got_degrees = reflection_quotient(G)
+        assert (H.order, got_blocks, got_degrees) == (1, blocks, degrees)
+    # the wreath product S_2 wr S_2 swaps the two blocks: H is C_2 acting as
+    # (y_{12,1} y_{34,1})(y_{12,2} y_{34,2}), with no transposition
+    H, blocks, _ = reflection_quotient(PermutationGroup.from_text("(1 2);(1 3)(2 4)", 4))
+    assert blocks == [(1, 2), (3, 4)]
+    assert [g.cycle_string() for g in H.generators if not g.is_identity()] == ["(1 3)(2 4)"]
+    assert H.order == 2 and H.transposition_classes() == 0
 
 
 def test_certify_rejects_impossible_invariants():
@@ -113,9 +136,10 @@ def test_classify_s2_char_two():
     assert gor.b_cartier_index_divides == 1
     assert gor.branch_component_count == 1
     anchors = [t.anchor for t in report.trace]
-    assert ANCHOR_DISCREPANCY_REDUCTION in anchors
-    assert ANCHOR_OFF_BOUNDARY in anchors
+    assert ANCHOR_REFLECTION_QUOTIENT in anchors
+    assert ANCHOR_CANONICAL_FROM_STRATA in anchors
     assert ANCHOR_KLT_FAILS_REDUCED_BOUNDARY in anchors
+    assert ANCHOR_KLT_FROM_CANONICAL not in anchors
 
 
 def test_classify_a4_char_two():
@@ -196,10 +220,10 @@ def test_trace_anchors_nonempty_and_verdicts_justified():
             assert ANCHOR_LC_FROM_BOUNDED_SUP in anchors  # lc verdict
             assert ANCHOR_GORENSTEIN_INDEX in anchors  # gorenstein data
             assert ANCHOR_STRINGY_BOUND in anchors  # stringy bound
-            if report.has_transposition:
-                assert ANCHOR_DISCREPANCY_REDUCTION in anchors  # canonical verdict
-            else:
-                assert ANCHOR_CANONICAL_FROM_STRATA in anchors
+            # one canonical path, behind the reflection quotient when G has
+            # a transposition
+            assert ANCHOR_CANONICAL_FROM_STRATA in anchors
+            assert (ANCHOR_REFLECTION_QUOTIENT in anchors) == report.has_transposition
             if report.pair_klt == TRUE:
                 assert ANCHOR_KLT_FROM_DECAY in anchors or ANCHOR_KLT_FROM_CANONICAL in anchors
             if report.pair_klt == FALSE:
@@ -257,9 +281,14 @@ def test_soundness_sweep_small_degrees():
     # the full n <= 5 sweep is an acceptance criterion; here n <= 4
     for n in range(1, 5):
         for G in all_subgroups(n):
+            H = reflection_quotient(G)[0] if G.transposition_classes() else None
+            if H is not None:
+                assert H.transposition_classes() == 0, G
             for p in (0, 2, 3, 5):
                 report = classify(G, p)
                 assert report.canonical == CERTIFIED, (n, G, p)
                 assert report.pair_lc == TRUE
                 if p != 2:
                     assert report.pair_klt == TRUE
+                if H is not None:
+                    assert classify(H, p).canonical == report.canonical, (G, p)

@@ -67,6 +67,16 @@ def test_immutability_and_hash():
     assert len({ExtHalf(1), ExtHalf(1), NEG_INF, ExtHalf(Fraction(2, 2))}) == 2
 
 
+def test_equal_values_hash_equal():
+    assert ExtHalf(1) in {1}
+    assert {1: "a"}.get(ExtHalf(1)) == "a"
+    assert {Fraction(-3, 2): "b"}.get(ExtHalf.half(-3)) == "b"
+    big = [sign * (2**61 + d) for sign in (1, -1) for d in (1, -1)]
+    big += [2**100 + 3, -(2**100 + 3)]
+    for k in list(range(-13, 14)) + big:
+        assert hash(ExtHalf.half(k)) == hash(Fraction(k, 2)), k
+
+
 def test_text_rendering():
     assert ExtHalf(2).as_text() == "2"
     assert ExtHalf(Fraction(-1, 2)).as_text() == "-1/2"
